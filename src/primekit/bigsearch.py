@@ -15,6 +15,7 @@ oversized seeds fail loudly instead of hanging.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -40,10 +41,14 @@ class SearchState:
 
 @dataclass(frozen=True)
 class SearchHit:
+    """One certified R = c*k - 2^n; found_at is time.perf_counter() when
+    the search found it."""
+
     k: int
     n: int
     value: int
     certificate: CandidateCertificate
+    found_at: float
 
 
 def build_state(seed: int, c_digit_cap: int = DEFAULT_C_DIGIT_CAP) -> SearchState:
@@ -85,25 +90,31 @@ def odd_k_candidates(state: SearchState, n: int) -> list[int]:
 
 
 def min_exponent(state: SearchState, unit_multiplier: bool | None = None, max_scan: int | None = None) -> int:
-    """Smallest usable exponent.
+    """Smallest usable exponent up to max_scan (default 4*bits(c) + 64).
 
     unit_multiplier=True asks for the smallest n whose window contains
     k = 1; False for the smallest n whose window contains any odd k; None
     tries the k = 1 reading first and falls back to the general one.
+    ResourceLimitError when no exponent up to max_scan is usable.
     """
     c, low, high = state.product, state.low, state.high
+    cap = max_scan if max_scan is not None else 4 * c.bit_length() + 64
     if unit_multiplier is not False:
         # k = 1 admissible iff c - high <= 2^n <= c - low - 1
         lo_target = max(2, c - high)
         hi_target = c - low - 1
         n = max(1, (lo_target - 1).bit_length())  # smallest n with 2^n >= lo_target
         if 2 ** n <= hi_target:
+            if n > cap:
+                # no window below this n holds any k >= 1, so none is usable
+                raise ResourceLimitError(
+                    f"k=1 first fits the window for seed {state.seed} at exponent {n}, above {cap}"
+                )
             return n
         if unit_multiplier is True:
             raise ValidationError(
                 f"no exponent puts k=1 in the window for seed {state.seed}"
             )
-    cap = max_scan if max_scan is not None else 4 * c.bit_length() + 64
     for n in range(1, cap + 1):
         if odd_k_candidates(state, n):
             return n
@@ -154,7 +165,7 @@ def search(
                 verdict=verdict,
                 signed_value=value,
             )
-            hits.append(SearchHit(k=k, n=n, value=value, certificate=certificate))
+            hits.append(SearchHit(k=k, n=n, value=value, certificate=certificate, found_at=time.perf_counter()))
             if max_hits is not None and len(hits) >= max_hits:
                 return hits
     return hits

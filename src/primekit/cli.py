@@ -452,16 +452,19 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
 
 def _cmd_bigsearch(args, cfg: RunConfig) -> int:
     state = build_state(args.seed, c_digit_cap=cfg.seed_cap_digits)
-    if args.min_n is not None:
-        start = args.min_n
-    else:
+    start = args.min_n
+    if start is None:
         unit = {"auto": None, "k1": True, "any": False}[args.min_mode]
-        start = min_exponent(state, unit_multiplier=unit)
+        try:
+            start = min_exponent(state, unit_multiplier=unit, max_scan=args.max_n)
+        except ResourceLimitError:
+            # no usable exponent up to --max-n: search them all, as --min-n 1 does
+            start = 1
     began = time.perf_counter()
     hits = search(state, args.max_n, max_hits=args.max_hits, min_n=start)
     items = []
     for hit in hits:
-        elapsed_ms = round((time.perf_counter() - began) * 1000.0, 3)
+        elapsed_ms = round((hit.found_at - began) * 1000.0, 3)
         record = {
             "seed": str(state.seed),
             "k": str(hit.k),

@@ -45,15 +45,6 @@ class ExclusionSpec:
         return cls(bound=bound, basis=basis, per_prime_windows=windows)
 
 
-@dataclass(frozen=True)
-class KSet:
-    """Admissible K values and, per odd basis prime, the struck ones."""
-
-    k_max_exclusive: Fraction
-    admissible: tuple[int, ...]
-    excluded: dict[int, tuple[int, ...]]
-
-
 def excluded_k(spec: ExclusionSpec, prime_index: int) -> list[int]:
     """Struck K values for the prime at `prime_index` (0-based over the odd
     basis primes), evaluated from the exact rational window."""
@@ -91,17 +82,6 @@ def _admissible_values(bound: int, odd_primes: tuple[int, ...], include_two: boo
     primes = [2] if include_two else []
     primes.extend(2 * k + 1 for k in range(1, len(mask)) if not mask[k])
     return primes
-
-
-def build_kset(spec: ExclusionSpec) -> KSet:
-    k_max = _k_limit(spec.bound)
-    mask = _strike_mask(spec.bound, spec.basis.odd_primes)
-    excluded = {
-        prime: tuple(k for k in excluded_k(spec, i) if k <= k_max)
-        for i, (prime, _, _) in enumerate(spec.per_prime_windows)
-    }
-    admissible = tuple(k for k in range(1, k_max + 1) if not mask[k])
-    return KSet(Fraction(spec.bound - 1, 2), admissible, excluded)
 
 
 def primes_below(bound: int, include_two: bool = True) -> list[int]:

@@ -15,14 +15,27 @@ Shapes:
   relation2            R = +-P1*k1 +- P2*k2 +- P1*P2*k3 over a two-set split
   relation3            R = sum over i of +-(product omitting prime i)*k_i,
                            plus +-(full product)*k_last
+
+Enumeration walks one engine for every shape. Each shape is a list of
+terms, each term a list of options (signed value, grid-key part), and a
+grid point is one option per term. Only points whose sum lies in the
+window can be accepted, so the walk finds just those, meet-in-the-middle
+(Horowitz and Sahni, 1974): it sorts the partial sums of the right half
+of the terms and bisects them for each partial sum of the left half.
+The points found are then evaluated in grid-key order, which is the
+order of the nested loops over signs, multipliers and exponents that
+define the grid, so the same grid always yields the same certificates in
+the same order.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product as iter_product
 from math import factorial, isqrt, prod
+from operator import itemgetter
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .oracle import PROVEN_COMPOSITE, OracleVerdict, PrimeBasis, is_prime, large_primes
@@ -436,7 +449,8 @@ def enumerate_certified(
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     verbose: bool = False,
 ) -> list[CandidateCertificate]:
-    """Evaluate the full bounded parameter grid and keep what is accepted.
+    """Walk the full bounded parameter grid, evaluate each point whose value
+    lies in the window and keep what is accepted.
 
     Signs range over both parities, multipliers over [1, budget] (the
     optional trailing multiplier over [0, budget]), exponents over
@@ -454,11 +468,18 @@ def enumerate_certified(
         return []
 
     if construction in (RELATION1, RELATION1_FACTORIAL):
-        certs = _enumerate_relation1(construction, basis, budget, exponent_slots)
+        points = _relation1_points(construction, basis, budget, exponent_slots)
     elif construction == RELATION2:
-        certs = _enumerate_relation2(basis, budget, partition)
+        points = _relation2_points(basis, budget, partition)
     else:
-        certs = _enumerate_relation3(basis, budget)
+        points = _relation3_points(basis, budget)
+    evaluate = {
+        RELATION1: eval_relation1,
+        RELATION1_FACTORIAL: eval_relation1_factorial,
+        RELATION2: eval_relation2,
+        RELATION3: eval_relation3,
+    }[construction]
+    certs = [cert for cert in (evaluate(params) for _, params in points) if cert.accepted]
 
     if verbose:
         return certs
@@ -468,132 +489,106 @@ def enumerate_certified(
     return [best[v] for v in sorted(best)]
 
 
-_PARITIES = (Parity.EVEN, Parity.ODD)
+def _signed(options) -> list[tuple[int, tuple]]:
+    """Both signs of each (value, key) option: ((-1)**b * value, (b, key)),
+    the b = 0 half first."""
+    options = list(options)
+    return [(sign * value, (b, key)) for b, sign in ((0, 1), (1, -1)) for value, key in options]
 
 
-def _enumerate_relation1(
-    construction: str, basis: PrimeBasis, budget: int, exponent_slots: int
-) -> list[CandidateCertificate]:
+def _partial_sums(terms):
+    """(sum, keys) for every choice of one option per term."""
+    for choice in iter_product(*terms):
+        values, keys = zip(*choice)
+        yield sum(values), keys
+
+
+def _walk(terms, low: int, high: int):
+    """Every choice of one option per term whose values sum into (low, high],
+    as (sum, keys) with one key per term, in ascending order of the keys
+    when each term lists its options in key order.
+
+    Meet in the middle: the right half's partial sums are sorted once, and
+    each left partial sum a bisects them for the slice in (low - a, high - a].
+    """
+    half = len(terms) // 2
+    right = sorted(_partial_sums(terms[half:]), key=itemgetter(0))
+    right_sums = [total for total, _ in right]
+    for a, keys in _partial_sums(terms[:half]):
+        first = bisect_right(right_sums, low - a)
+        last = bisect_right(right_sums, high - a)
+        for total, more in sorted(right[first:last], key=itemgetter(1)):
+            yield a + total, keys + more
+
+
+def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponent_slots: int):
+    """(value, params) for each relation1 point in its extended window, in
+    grid order.
+
+    The terms are +-(product of large-prime powers) and +-k * lead. The
+    walk runs over the widest extended window; each hit is then held to its
+    own window, which depends on its exponents and k.
+    """
     if construction == RELATION1_FACTORIAL:
-        lead = factorial(isqrt(basis.bound))
+        lead, make = factorial(isqrt(basis.bound)), Relation1FactorialParams
     else:
-        lead = prod(basis.small_primes)
+        lead, make = prod(basis.small_primes), Relation1Params
     larges = large_primes(basis, exponent_slots + 1)
-    squares = [p * p - 1 for p in larges]
-    low = basis.largest
-    out = []
-    for exps in iter_product(range(budget + 1), repeat=exponent_slots):
-        dense = list(exps)
-        while dense and dense[-1] == 0:
-            dense.pop()
-        power = prod(p ** e for p, e in zip(larges, exps))
-        descending = all(dense[i] >= dense[i + 1] for i in range(len(dense) - 1))
-        first_zero = len(dense) + 1 if descending else 1
+    powers = _signed(
+        (prod(p ** e for p, e in zip(larges, exps)), exps)
+        for exps in iter_product(range(budget + 1), repeat=exponent_slots)
+    )
+    multiples = _signed((k * lead, k) for k in range(1, budget + 1))
+    hits = []
+    for value, ((b2, exps), (b1, k)) in _walk([powers, multiples], basis.largest, larges[-1] ** 2 - 1):
         exponents = tuple((i + 1, e) for i, e in enumerate(exps) if e)
-        for sign_small, sign_large in iter_product(_PARITIES, _PARITIES):
-            for k in range(1, budget + 1):
-                effective = 1
-                for i in range(1, first_zero):
-                    if k % larges[i - 1] == 0:
-                        break
-                    effective += 1
-                value = sign_small.sign * k * lead + sign_large.sign * power
-                if low < value <= squares[effective - 1]:
-                    if construction == RELATION1_FACTORIAL:
-                        params: object = Relation1FactorialParams(
-                            basis, sign_small, sign_large, k, exponents
-                        )
-                        cert = eval_relation1_factorial(params)
-                    else:
-                        params = Relation1Params(basis, sign_small, sign_large, k, exponents)
-                        cert = eval_relation1(params)
-                    if cert.accepted:
-                        out.append(cert)
-    return out
+        if value <= _extended_window(basis, exponents, k)[1]:
+            hits.append(((exps, b1, b2, k), value, exponents))
+    for (_, b1, b2, k), value, exponents in sorted(hits):
+        yield value, make(basis, Parity.from_int(b1), Parity.from_int(b2), k, exponents)
 
 
-def _enumerate_relation2(
-    basis: PrimeBasis,
-    budget: int,
-    partition: tuple[tuple[int, ...], tuple[int, ...]] | None,
-) -> list[CandidateCertificate]:
+def _relation2_points(
+    basis: PrimeBasis, budget: int, partition: tuple[tuple[int, ...], tuple[int, ...]] | None
+):
+    """(value, params) for each relation2 point in the window, in grid
+    order; the terms are +-P1*k1, +-P2*k2 and +-P1*P2*k3."""
     group1, group2 = partition or default_partition(basis)
     p1, p2 = prod(group1), prod(group2)
-    k1s = _coprime_multipliers(budget, group2)
-    k2s = _coprime_multipliers(budget, group1)
-    low, high = certificate_window(basis)
-    out = []
-    for s1, s2, s3 in iter_product(_PARITIES, _PARITIES, _PARITIES):
-        for k1 in k1s:
-            t1 = s1.sign * p1 * k1
-            for k2 in k2s:
-                t12 = t1 + s2.sign * p2 * k2
-                for k3 in range(budget + 1):
-                    value = t12 + s3.sign * p1 * p2 * k3
-                    if low < value <= high:
-                        params = Relation2Params(
-                            basis, group1, group2, s1, s2, s3, k1, k2, k3
-                        )
-                        cert = eval_relation2(params)
-                        if cert.accepted:
-                            out.append(cert)
-    return out
-
-
-def _enumerate_relation3(basis: PrimeBasis, budget: int) -> list[CandidateCertificate]:
-    primes = basis.small_primes
-    full = prod(primes)
-    low, high = certificate_window(basis)
-    slots = []
-    for prime in primes:
-        term = full // prime
-        slots.append(
-            [
-                (sign.sign * term * k, sign, k)
-                for sign in _PARITIES
-                for k in _coprime_multipliers(budget, (prime,))
-            ]
-        )
-    slots.append(
-        [(sign.sign * full * k, sign, k) for sign in _PARITIES for k in range(budget + 1)]
+    terms = [
+        _signed((p1 * k, k) for k in _coprime_multipliers(budget, group2)),
+        _signed((p2 * k, k) for k in _coprime_multipliers(budget, group1)),
+        _signed((p1 * p2 * k, k) for k in range(budget + 1)),
+    ]
+    hits = sorted(
+        ((b1, b2, b3, k1, k2, k3), value)
+        for value, ((b1, k1), (b2, k2), (b3, k3)) in _walk(terms, *certificate_window(basis))
     )
+    for (b1, b2, b3, k1, k2, k3), value in hits:
+        signs = map(Parity.from_int, (b1, b2, b3))
+        yield value, Relation2Params(basis, group1, group2, *signs, k1, k2, k3)
 
-    out = []
-    chosen: list[tuple[int, Parity, int]] = []
 
-    def descend(depth: int, partial: int) -> None:
-        if depth == len(slots):
-            if low < partial <= high:
-                signs = tuple(c[1] for c in chosen)
-                ks = tuple(c[2] for c in chosen)
-                cert = eval_relation3(Relation3Params(basis, signs, ks))
-                if cert.accepted:
-                    out.append(cert)
-            return
-        for option in slots[depth]:
-            chosen.append(option)
-            descend(depth + 1, partial + option[0])
-            chosen.pop()
-
-    descend(0, 0)
-    return out
+def _relation3_points(basis: PrimeBasis, budget: int):
+    """(value, params) for each relation3 point in the window, in grid
+    order; the terms are +-(P/p)*k_p for each basis prime p, then +-P*k_last."""
+    full = prod(basis.small_primes)
+    terms = [
+        _signed((full // p * k, k) for k in _coprime_multipliers(budget, (p,)))
+        for p in basis.small_primes
+    ]
+    terms.append(_signed((full * k, k) for k in range(budget + 1)))
+    for value, keys in _walk(terms, *certificate_window(basis)):
+        signs, ks = zip(*keys)
+        yield value, Relation3Params(basis, tuple(map(Parity.from_int, signs)), ks)
 
 
 def find_relation1_params(
     basis: PrimeBasis, target: int, budget: int, exponent_slots: int = 2
 ) -> Relation1Params | None:
-    """Bounded search for parameters whose accepted relation1 value equals
+    """First relation1 point in grid order whose accepted value equals
     `target`; None when the grid holds no such tuple."""
-    larges = large_primes(basis, exponent_slots)
-    lead = prod(basis.small_primes)
-    for exps in iter_product(range(budget + 1), repeat=exponent_slots):
-        power = prod(p ** e for p, e in zip(larges, exps))
-        exponents = tuple((i + 1, e) for i, e in enumerate(exps) if e)
-        for sign_small, sign_large in iter_product(_PARITIES, _PARITIES):
-            for k in range(1, budget + 1):
-                if sign_small.sign * k * lead + sign_large.sign * power != target:
-                    continue
-                params = Relation1Params(basis, sign_small, sign_large, k, exponents)
-                if eval_relation1(params).accepted:
-                    return params
+    for value, params in _relation1_points(RELATION1, basis, budget, exponent_slots):
+        if value == target and eval_relation1(params).accepted:
+            return params
     return None

@@ -101,6 +101,13 @@ class TestMinExponent:
         with pytest.raises(ResourceLimitError):
             min_exponent(state, unit_multiplier=False, max_scan=3)
 
+    def test_scan_cap_bounds_the_unit_multiplier_exponent(self):
+        state = build_state(13)  # k = 1 first fits at n = 10
+        assert min_exponent(state, max_scan=10) == 10
+        for unit in (None, True):
+            with pytest.raises(ResourceLimitError):
+                min_exponent(state, unit_multiplier=unit, max_scan=9)
+
 
 class TestSearch:
     def test_seed_13_trace(self):

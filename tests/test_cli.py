@@ -157,6 +157,24 @@ class TestBigsearch:
         for r in records:
             assert set(r) == {"seed", "k", "n", "value", "digits", "verdict", "elapsed_ms"}
 
+    def test_elapsed_ms_is_the_time_of_each_hit(self, capsys):
+        # hits come over the whole scan, so the first (n=1) is stamped far
+        # earlier than the last (n=2000), not when the output is written
+        code, out, _ = run_cli(
+            capsys, "bigsearch", "--seed", "7", "--max-n", "2000", "--format", "jsonl",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0]["n"] == 1 and records[-1]["n"] == 2000
+        assert records[0]["elapsed_ms"] < records[-1]["elapsed_ms"] / 2
+
+    def test_default_start_scans_up_to_max_n(self, capsys):
+        # seed 17 has no usable exponent up to 1000: without --min-n the
+        # scan still covers all of them and ends as --min-n 1 does
+        default = run_cli(capsys, "bigsearch", "--seed", "17", "--max-n", "1000")
+        from_one = run_cli(capsys, "bigsearch", "--seed", "17", "--max-n", "1000", "--min-n", "1")
+        assert default == from_one == (0, "", "")
+
     def test_composite_seed_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "bigsearch", "--seed", "9", "--max-n", "10")
         assert code == 1 and "composite" in err

@@ -6,7 +6,6 @@ from helpers import slow_is_prime, slow_primes_below
 from primekit.errors import ValidationError
 from primekit.exclusion import (
     ExclusionSpec,
-    build_kset,
     excluded_k,
     primes_below,
     primes_below_next_square,
@@ -118,29 +117,36 @@ class TestPrimesBelowNextSquare:
 
 
 class TestKSet:
+    """The struck K of excluded_k per odd prime against the admissible K
+    behind primes_below."""
+
+    @staticmethod
+    def _struck_and_admissible(bound):
+        spec = ExclusionSpec.for_bound(bound)
+        k_max = (bound - 2) // 2  # largest K with 2K + 1 < bound
+        struck = {
+            prime: {k for k in excluded_k(spec, i) if k <= k_max}
+            for i, (prime, _, _) in enumerate(spec.per_prime_windows)
+        }
+        admissible = {(r - 1) // 2 for r in primes_below(bound, include_two=False)}
+        return struck, admissible
+
     def test_admissible_and_excluded_partition(self):
-        spec = ExclusionSpec.for_bound(120)
-        kset = build_kset(spec)
-        assert kset.k_max_exclusive == Fraction(119, 2)
-        struck = set()
-        for ks in kset.excluded.values():
-            struck.update(ks)
-        admissible = set(kset.admissible)
-        assert admissible.isdisjoint(struck) or not (admissible & struck)
+        struck, admissible = self._struck_and_admissible(120)
+        every_struck = set().union(*struck.values())
+        assert admissible.isdisjoint(every_struck)
         top = 59  # ceil(119/2) - 1
-        assert admissible | struck == set(range(1, top + 1))
+        assert admissible | every_struck == set(range(1, top + 1))
 
     def test_boundary_k_59_struck_only_by_seven(self):
         # K=59 sits at the very top of the range and is struck by C=7 alone
-        spec = ExclusionSpec.for_bound(120)
-        kset = build_kset(spec)
-        assert 59 in kset.excluded[7]
-        assert 59 not in kset.excluded[3]
-        assert 59 not in kset.excluded[5]
-        assert 59 not in kset.admissible
+        struck, admissible = self._struck_and_admissible(120)
+        assert 59 in struck[7]
+        assert 59 not in struck[3]
+        assert 59 not in struck[5]
+        assert 59 not in admissible
 
     def test_multiply_struck_k_is_fine(self):
         # 52 is on both the C=5 and C=7 progressions; set semantics
-        spec = ExclusionSpec.for_bound(120)
-        kset = build_kset(spec)
-        assert 52 in kset.excluded[5] and 52 in kset.excluded[7]
+        struck, _ = self._struck_and_admissible(120)
+        assert 52 in struck[5] and 52 in struck[7]
