@@ -1,12 +1,14 @@
-"""Certified search above a seed prime: R = c*k - 2^n.
+"""Certified search above a seed prime a: R = c*k - 2^n.
 
-c is the product of every odd prime up to seed-2. Any R strictly between
-the seed and seed**2 - 1 is odd and coprime to every odd prime below its
-own square root, so landing k (odd) inside the exact rational window
-(seed + 2^n)/c < k <= (seed**2 - 1 + 2^n)/c makes R prime outright. The
-window bounds stay rational end to end; the decimal forms people write
-down are display artifacts and rounding them is exactly how a composite
-slips in or the largest hit gets dropped.
+c is the product of every odd prime up to a-2. k is odd because R must
+be: c is odd and 2^n even. Such an R is also coprime to c (it is -2^n
+modulo each prime of c), so an R strictly between a and a**2 - 1 has no
+prime factor below its square root and is prime outright. Since c*k = c (mod 2c) for every odd k, the hits at
+exponent n are exactly the R in (a, a**2 - 1] with R = c - 2^n (mod 2c).
+The search walks 2^n mod 2c by doubling, reads off that residue class in
+the window, and computes k = (R + 2^n)/c only for the hits. This is the
+exact rational window (a + 2^n)/c < k <= (a**2 - 1 + 2^n)/c restated; the
+window form is kept in the tests as the reference the search must match.
 
 c doubles in digit count roughly like the seed itself, which makes this
 method exponential in the seed's digit count; the digit cap exists so
@@ -16,8 +18,8 @@ oversized seeds fail loudly instead of hanging.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
@@ -68,25 +70,17 @@ def build_state(seed: int, c_digit_cap: int = DEFAULT_C_DIGIT_CAP) -> SearchStat
     )
 
 
-def k_window(state: SearchState, n: int) -> tuple[Fraction, Fraction]:
-    """Exact (exclusive, inclusive] bounds on k for this exponent."""
-    if n < 1:
-        raise ValidationError(f"exponent must be >= 1, got {n}")
-    shift = 2 ** n
-    return (
-        Fraction(state.low + shift, state.product),
-        Fraction(state.high + shift, state.product),
-    )
-
-
-def odd_k_candidates(state: SearchState, n: int) -> list[int]:
-    """Odd integers inside the exact window, ascending."""
-    lo, hi = k_window(state, n)
-    first = int(lo) + 1  # smallest integer strictly above lo
-    last = hi.numerator // hi.denominator  # largest integer at or below hi
-    if first % 2 == 0:
-        first += 1
-    return list(range(first, last + 1, 2))
+def _window_values(state: SearchState, first: int, last: int) -> Iterator[tuple[int, range]]:
+    """(n, values) for n = first..last: the R in (low, high] with
+    R = c - 2^n (mod 2c), ascending, which is ascending k."""
+    if first < 1:
+        raise ValidationError(f"exponent must be >= 1, got {first}")
+    modulus = 2 * state.product
+    power = pow(2, first, modulus)  # 2^n mod 2c, doubled once per exponent
+    for n in range(first, last + 1):
+        head = state.low + 1 + (state.product - power - state.low - 1) % modulus
+        yield n, range(head, state.high + 1, modulus)
+        power = 2 * power % modulus
 
 
 def min_exponent(state: SearchState, unit_multiplier: bool | None = None, max_scan: int | None = None) -> int:
@@ -115,8 +109,8 @@ def min_exponent(state: SearchState, unit_multiplier: bool | None = None, max_sc
             raise ValidationError(
                 f"no exponent puts k=1 in the window for seed {state.seed}"
             )
-    for n in range(1, cap + 1):
-        if odd_k_candidates(state, n):
+    for n, values in _window_values(state, 1, cap):
+        if values:
             return n
     raise ResourceLimitError(
         f"no nonempty odd-k window for seed {state.seed} within {cap} exponents"
@@ -130,7 +124,11 @@ def search(
     min_n: int | None = None,
 ) -> list[SearchHit]:
     """Enumerate exponents ascending, odd k ascending within each window,
-    and emit every R = c*k - 2^n, oracle-checked, up to max_hits."""
+    and emit every R = c*k - 2^n, oracle-checked, up to max_hits.
+
+    Every hit is checked again on its own: inside the window and odd,
+    prime by the oracle, coprime to c, and c*k - 2^n for an odd k; any
+    failure is an InvariantViolation."""
     if max_hits == 0:
         return []
     start = min_n if min_n is not None else min_exponent(state)
@@ -139,10 +137,10 @@ def search(
             f"max exponent {max_exponent} is below the starting exponent {start}"
         )
     hits: list[SearchHit] = []
-    for n in range(start, max_exponent + 1):
-        shift = 2 ** n
-        for k in odd_k_candidates(state, n):
-            value = state.product * k - shift
+    for n, values in _window_values(state, start, max_exponent):
+        for value in values:
+            shift = 2 ** n
+            k = (value + shift) // state.product
             if not state.low < value <= state.high or value % 2 == 0:
                 raise InvariantViolation(
                     f"window arithmetic produced out-of-range value {value} at n={n}, k={k}"
@@ -155,6 +153,10 @@ def search(
             if gcd(value, state.product) != 1:
                 raise InvariantViolation(
                     f"search value {value} shares a factor with the odd-prime product"
+                )
+            if state.product * k - shift != value or k % 2 == 0:
+                raise InvariantViolation(
+                    f"search value {value} at n={n} is not c*k - 2^n for an odd k"
                 )
             certificate = CandidateCertificate(
                 value=value,

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, min_exponent, search
+from .bigsearch import DEFAULT_C_DIGIT_CAP, _window_values, build_state, min_exponent, search
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .exclusion import ExclusionSpec, excluded_k, primes_below
 from .mersenne import scan_prime_zn
@@ -464,29 +464,19 @@ def _cmd_bigsearch(args, cfg: RunConfig) -> int:
     hits = search(state, args.max_n, max_hits=args.max_hits, min_n=start)
     items = []
     for hit in hits:
-        elapsed_ms = round((hit.found_at - began) * 1000.0, 3)
+        params = hit.certificate.params  # seed, k and n, k already in decimal
+        value = str(hit.value)
+        verdict = hit.certificate.verdict
         record = {
-            "seed": str(state.seed),
-            "k": str(hit.k),
-            "n": hit.n,
-            "value": str(hit.value),
-            "digits": len(str(hit.value)),
-            "verdict": hit.certificate.verdict.to_json_dict(),
-            "elapsed_ms": elapsed_ms,
+            **params,
+            "value": value,
+            "digits": len(value),
+            "verdict": verdict.to_json_dict(),
+            "elapsed_ms": round((hit.found_at - began) * 1000.0, 3),
         }
-        text = f"n={hit.n} k={hit.k} R={hit.value} {hit.certificate.verdict.status}"
-        items.append(
-            Item(
-                record,
-                text,
-                _log_entry(
-                    "big-search",
-                    {"seed": str(state.seed), "k": str(hit.k), "n": hit.n},
-                    hit.value,
-                    hit.certificate.verdict,
-                ),
-            )
-        )
+        text = f"n={hit.n} k={params['k']} R={value} {verdict.status}"
+        log = _log_entry("big-search", params, hit.value, verdict) if cfg.log_path else None
+        items.append(Item(record, text, log))
     _emit(items, cfg)
     return 0
 
@@ -555,13 +545,8 @@ def _bench_rows(args, cfg: RunConfig) -> list[dict]:
             t0 = time.perf_counter()
             state = build_state(seed, c_digit_cap=cfg.seed_cap_digits)
             t1 = time.perf_counter()
-            from .bigsearch import odd_k_candidates
-
-            nonempty = 0
             scanned = 64
-            for n in range(1, scanned + 1):
-                if odd_k_candidates(state, n):
-                    nonempty += 1
+            nonempty = sum(1 for _, values in _window_values(state, 1, scanned) if values)
             t2 = time.perf_counter()
             rows.append(
                 {

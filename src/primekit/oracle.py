@@ -261,8 +261,12 @@ def primes_leq_sqrt(bound: int) -> PrimeBasis:
     return PrimeBasis(bound=bound, small_primes=tuple(small), next_prime=next_prime_after(root))
 
 
+@lru_cache(maxsize=1024)
 def large_primes(basis: PrimeBasis, count: int) -> tuple[int, ...]:
-    """The first `count` primes above sqrt(bound), starting at next_prime."""
+    """The first `count` primes above sqrt(bound), starting at next_prime.
+
+    Cached: the relation1 walk asks for the same basis once or more per
+    window hit, and each fresh answer walks next_prime_after."""
     out: list[int] = []
     p = basis.next_prime
     while len(out) < count:

@@ -4,15 +4,13 @@ from math import gcd, log2
 
 import pytest
 
+import brute_force_bigsearch as reference
+from brute_force_bigsearch import k_window, odd_k_candidates
 from helpers import slow_is_prime
-from primekit.bigsearch import (
-    build_state,
-    k_window,
-    min_exponent,
-    odd_k_candidates,
-    search,
-)
-from primekit.errors import ResourceLimitError, ValidationError
+from primekit import bigsearch
+from primekit.bigsearch import build_state, min_exponent, search
+from primekit.errors import InvariantViolation, ResourceLimitError, ValidationError
+from primekit.oracle import OracleVerdict
 
 
 class TestBuildState:
@@ -159,3 +157,77 @@ class TestSearch:
         data = hit.certificate.to_json_dict()
         assert data["params"] == {"seed": "13", "k": "1", "n": 10}
         assert data["value"] == "131"
+
+
+def _outcome(call):
+    """A call's result, or its error's type and text."""
+    try:
+        return call()
+    except (ValidationError, ResourceLimitError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
+def _hit_keys(hits):
+    return [(h.n, h.k, h.value, h.certificate.to_json_dict()) for h in hits]
+
+
+PRIME_SEEDS = [p for p in range(5, 114) if slow_is_prime(p)]
+
+
+class TestMatchesWindowReference:
+    """The residue-class walk against the seed's exact rational windows."""
+
+    def test_min_exponent(self):
+        for seed in PRIME_SEEDS:
+            state = build_state(seed)
+            for unit in (None, True, False):
+                for cap in (None, 1, 7, 300):
+                    want = _outcome(lambda: reference.min_exponent(state, unit, cap))
+                    got = _outcome(lambda: min_exponent(state, unit, cap))
+                    assert got == want, (seed, unit, cap)
+
+    def test_search(self):
+        for seed in PRIME_SEEDS:
+            state = build_state(seed)
+            for min_n in (None, 1, 7):
+                for max_exponent in (1, 7, 18, 300):
+                    for max_hits in (None, 1, 3):
+                        args = (state, max_exponent, max_hits, min_n)
+                        want = _outcome(lambda: _hit_keys(reference.search(*args)))
+                        got = _outcome(lambda: _hit_keys(search(*args)))
+                        assert got == want, (seed, min_n, max_exponent, max_hits)
+
+    def test_nonpositive_start(self):
+        state = build_state(13)
+        for min_n in (0, -3):
+            want = _outcome(lambda: reference.search(state, 18, min_n=min_n))
+            assert _outcome(lambda: search(state, 18, min_n=min_n)) == want
+
+
+class TestPerHitChecks:
+    """Each check on a hit raises InvariantViolation on its own."""
+
+    def test_oracle_refutation(self, monkeypatch):
+        state = build_state(13)
+        monkeypatch.setattr(
+            bigsearch, "is_prime", lambda x: OracleVerdict(x, "proven-composite", "sieve-lookup", 3)
+        )
+        with pytest.raises(InvariantViolation, match="refuted by oracle"):
+            search(state, 18)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (171, "out-of-range"),  # above the window (13, 168]
+            (130, "out-of-range"),  # even
+            (165, "shares a factor"),  # 3 * 5 * 11, passed off as prime
+            (137, "not c\\*k - 2\\^n"),  # prime, but 1155*1 - 2^10 is 131
+        ],
+    )
+    def test_bad_value_at_n10(self, monkeypatch, value, message):
+        monkeypatch.setattr(bigsearch, "_window_values", lambda state, first, last: iter([(10, [value])]))
+        monkeypatch.setattr(
+            bigsearch, "is_prime", lambda x: OracleVerdict(x, "proven-prime", "sieve-lookup", None)
+        )
+        with pytest.raises(InvariantViolation, match=message):
+            search(build_state(13), 18)

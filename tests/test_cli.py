@@ -1,7 +1,10 @@
 import json
 
+from brute_force_bigsearch import odd_k_candidates
 from helpers import slow_primes_below
+from primekit import bigsearch
 from primekit.cli import run
+from primekit.oracle import OracleVerdict
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +178,17 @@ class TestBigsearch:
         from_one = run_cli(capsys, "bigsearch", "--seed", "17", "--max-n", "1000", "--min-n", "1")
         assert default == from_one == (0, "", "")
 
+    def test_refuted_hit_exit_three(self, capsys, monkeypatch):
+        # the oracle passes the seed 13 and refutes both hits (131 and 41)
+        real = bigsearch.is_prime
+        monkeypatch.setattr(
+            bigsearch, "is_prime",
+            lambda x: real(x) if x == 13 else OracleVerdict(x, "proven-composite", "sieve-lookup", 3),
+        )
+        code, out, err = run_cli(capsys, "bigsearch", "--seed", "13", "--max-n", "18")
+        assert code == 3 and out == ""
+        assert err.startswith("INVARIANT VIOLATION") and "refuted by oracle" in err
+
     def test_composite_seed_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "bigsearch", "--seed", "9", "--max-n", "10")
         assert code == 1 and "composite" in err
@@ -305,6 +319,12 @@ class TestBench:
         header = lines[0]
         digit_col = header.index("c_digits")
         assert [row[digit_col] for row in lines[1:]] == ["4", "10", "37"]
+        nonempty_col = header.index("nonempty_windows")
+        want = [
+            sum(1 for n in range(1, 65) if odd_k_candidates(bigsearch.build_state(seed), n))
+            for seed in (13, 31, 101)
+        ]
+        assert [int(row[nonempty_col]) for row in lines[1:]] == want
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--suite", "nope", "--ladder", "1")

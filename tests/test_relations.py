@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import slow_is_prime
+from primekit import oracle, relations
 from primekit.errors import ResourceLimitError, ValidationError
 from primekit.oracle import primes_leq_sqrt
 from primekit.reference import (
@@ -66,6 +67,18 @@ class TestRelation1:
     def test_column_five(self):
         cert = eval_relation1(Relation1Params(BASIS_119, O, E, 7, ((1, 2), (2, 1))))
         assert cert.accepted and cert.value == 103
+
+    def test_repeat_evaluation_calls_the_oracle_once(self, monkeypatch):
+        # the large primes of a basis are computed once; a second evaluation
+        # asks the oracle only about its own value, in _judge
+        params = Relation1Params(BASIS_119, O, E, 7, ((1, 2), (2, 1), (3, 1)))
+        eval_relation1(params)
+        calls = []
+        for module in (oracle, relations):
+            real = module.is_prime
+            monkeypatch.setattr(module, "is_prime", lambda x, real=real: calls.append(x) or real(x))
+        cert = eval_relation1(params)
+        assert calls == [cert.value]
 
     def test_column_two_erratum(self):
         cert = eval_relation1(Relation1Params(BASIS_119, O, E, 6, ((1, 2),)))
