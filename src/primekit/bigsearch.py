@@ -17,6 +17,7 @@ oversized seeds fail loudly instead of hanging.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -128,7 +129,11 @@ def search(
 
     Every hit is checked again on its own: inside the window and odd,
     prime by the oracle, coprime to c, and c*k - 2^n for an odd k; any
-    failure is an InvariantViolation."""
+    failure is an InvariantViolation.
+
+    ResourceLimitError, before any exponent is scanned, when k could pass
+    Python's limit on int-to-str conversion (sys.get_int_max_str_digits()),
+    since every hit carries k in decimal."""
     if max_hits == 0:
         return []
     start = min_n if min_n is not None else min_exponent(state)
@@ -136,6 +141,18 @@ def search(
         raise ValidationError(
             f"max exponent {max_exponent} is below the starting exponent {start}"
         )
+    # 0 means no limit, as before Python 3.10.7, which lacks the call too
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # with N = max_exponent, k <= high + 2^N < 2^(m + 1) <= 8^digit_limit while
+    # m = max(N, bits(high)) < 3 * digit_limit; past that, exactly: k has more than
+    # digit_limit digits iff high + 2^N >= c * 10^digit_limit (true once N >= bits(bound))
+    if digit_limit and max(max_exponent, state.high.bit_length()) >= 3 * digit_limit:
+        bound = state.product * 10 ** digit_limit
+        if max_exponent >= bound.bit_length() or state.high + 2 ** max_exponent >= bound:
+            raise ResourceLimitError(
+                f"k at exponent {max_exponent} for seed {state.seed} would pass Python's "
+                f"{digit_limit}-digit limit on int-to-str conversion (sys.get_int_max_str_digits())"
+            )
     hits: list[SearchHit] = []
     for n, values in _window_values(state, start, max_exponent):
         for value in values:

@@ -1,5 +1,4 @@
-"""Command-line surface: sieve, zscan, rel1/rel1f/rel2/rel3, bigsearch,
-bench, verify.
+"""Command-line surface: sieve, zscan, rel1/rel1f/rel2/rel3, bigsearch, verify.
 
 Exit codes: 0 success, 1 validation error, 2 resource-cap error, 3 an
 invariant the constructions guarantee was refuted (which falsifies the
@@ -25,11 +24,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .bigsearch import DEFAULT_C_DIGIT_CAP, _window_values, build_state, min_exponent, search
+from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, min_exponent, search
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .exclusion import ExclusionSpec, excluded_k, primes_below
 from .mersenne import scan_prime_zn
-from .oracle import DEFAULT_SEGMENT_SIZE, is_prime, primes_leq_sqrt, sieve_primes_below
+from .oracle import OracleVerdict, is_prime, primes_leq_sqrt
 from .reference import relation1_report, relation2_report, relation3_report
 from .relations import (
     DEFAULT_CANDIDATE_CAP,
@@ -60,17 +59,20 @@ class RunConfig:
     workers: int
     seed_cap_digits: int
     candidate_cap: int
-    segment_size: int
     paper_faithful: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Item:
-    """One output record, its text rendering, and an optional log entry."""
+    """One output record, its text rendering and, for a value the log keeps,
+    what its log entry needs."""
 
     record: dict
     text: str
-    log: dict | None = None
+    construction: str | None = None
+    params: dict | None = None
+    value: int | None = None
+    verdict: OracleVerdict | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +102,6 @@ def _build_parser() -> _Parser:
     core.add_argument("--workers", type=int, default=None)
     core.add_argument("--seed-cap-digits", type=int, default=None)
     core.add_argument("--candidate-cap", type=int, default=None)
-    core.add_argument("--segment-size", type=int, default=None)
     core.add_argument("--paper-faithful", action="store_true", default=None)
 
     logp = _Parser(add_help=False)
@@ -160,11 +161,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-n", type=int, default=None)
     p.add_argument("--min-mode", choices=("auto", "k1", "any"), default="auto")
 
-    p = sub.add_parser("bench", parents=[core], help="benchmark suites (CSV report)")
-    p.add_argument("--suite", required=True,
-                   choices=("sieve-vs-oracle", "relations-throughput", "bigsearch-scaling"))
-    p.add_argument("--ladder", required=True, help="comma list of sizes/budgets/seeds")
-
     p = sub.add_parser("verify", parents=[core], help="re-check a result log against the oracle")
     p.add_argument("--log", required=True, help="JSONL result log to verify")
 
@@ -197,33 +193,24 @@ def _parse_parity(text: str | None, name: str) -> Parity:
     return Parity.parse(text)
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _log_entry(construction: str, params: dict, value: int, verdict) -> dict:
+def _log_entry(item: Item) -> dict:
+    value = str(item.value)
     return {
-        "timestamp": _timestamp(),
-        "construction": construction,
-        "params": params,
-        "value": str(value),
-        "digits": len(str(value)),
-        "verdict": verdict.to_json_dict(),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "construction": item.construction,
+        "params": item.params,
+        "value": value,
+        "digits": len(value),
+        "verdict": item.verdict.to_json_dict(),
         "tool_version": __version__,
     }
 
 
-def _certificate_item(cert, text: str | None = None) -> Item:
+def _certificate_item(cert) -> Item:
     record = cert.to_json_dict()
-    if text is None:
-        if cert.accepted:
-            text = str(cert.value)
-        else:
-            text = f"rejected ({cert.reason}): R={cert.signed_value}"
-    log = None
     if cert.accepted:
-        log = _log_entry(cert.construction, record["params"], cert.value, cert.verdict)
-    return Item(record, text, log)
+        return Item(record, str(cert.value), cert.construction, record["params"], cert.value, cert.verdict)
+    return Item(record, f"rejected ({cert.reason}): R={cert.signed_value}")
 
 
 def _emit(items: list[Item], cfg: RunConfig) -> None:
@@ -231,8 +218,8 @@ def _emit(items: list[Item], cfg: RunConfig) -> None:
     log_file = open(cfg.log_path, "a", encoding="utf-8") if cfg.log_path else None
 
     def write_log(item: Item) -> None:
-        if log_file and item.log is not None:
-            log_file.write(json.dumps(item.log, separators=(",", ":")) + "\n")
+        if log_file and item.construction is not None:
+            log_file.write(json.dumps(_log_entry(item), separators=(",", ":")) + "\n")
             log_file.flush()
 
     try:
@@ -273,13 +260,8 @@ def _cmd_sieve(args, cfg: RunConfig) -> int:
         spec = ExclusionSpec.for_bound(args.bound)
         items = []
         for i, (prime, _, _) in enumerate(spec.per_prime_windows):
-            ks = excluded_k(spec, i)
-            items.append(
-                Item(
-                    {"prime": str(prime), "excluded": [str(k) for k in ks]},
-                    f"C={prime}: {','.join(str(k) for k in ks)}",
-                )
-            )
+            ks = [str(k) for k in excluded_k(spec, i)]
+            items.append(Item({"prime": str(prime), "excluded": ks}, f"C={prime}: {','.join(ks)}"))
         _emit(items, cfg)
         return 0
     primes = primes_below(args.bound, include_two=include_two)
@@ -311,7 +293,7 @@ def _cmd_zscan(args, cfg: RunConfig) -> int:
             f"a={r.params.base} c={r.params.step} n={r.params.exponent} "
             f"Z={r.value} {r.verdict.status}"
         )
-        items.append(Item(record, text, _log_entry("general-mersenne", params, r.value, r.verdict)))
+        items.append(Item(record, text, "general-mersenne", params, r.value, r.verdict))
     _emit(items, cfg)
     return 0
 
@@ -346,15 +328,9 @@ def _worked_example_items(reports, paper_faithful: bool) -> list[Item]:
             record["replacement"] = entry.replacement.to_json_dict()
         marker = "" if entry.consistent else "  [erratum: printed value not reproduced]"
         text = f"column {entry.column}: printed {entry.printed_value}, computed {entry.certificate.signed_value}{marker}"
-        log = None
-        if entry.certificate.accepted:
-            log = _log_entry(
-                entry.certificate.construction,
-                entry.certificate.to_json_dict()["params"],
-                entry.certificate.value,
-                entry.certificate.verdict,
-            )
-        items.append(Item(record, text, log))
+        cert = entry.certificate
+        logged = (cert.construction, cert.params.to_json_dict(), cert.value, cert.verdict) if cert.accepted else ()
+        items.append(Item(record, text, *logged))
     if skipped:
         print(
             f"note: {skipped} column(s) inconsistent with the defining formula omitted",
@@ -475,99 +451,8 @@ def _cmd_bigsearch(args, cfg: RunConfig) -> int:
             "elapsed_ms": round((hit.found_at - began) * 1000.0, 3),
         }
         text = f"n={hit.n} k={params['k']} R={value} {verdict.status}"
-        log = _log_entry("big-search", params, hit.value, verdict) if cfg.log_path else None
-        items.append(Item(record, text, log))
+        items.append(Item(record, text, "big-search", params, hit.value, verdict))
     _emit(items, cfg)
-    return 0
-
-
-def _bench_rows(args, cfg: RunConfig) -> list[dict]:
-    ladder = _parse_int_list(args.ladder, "ladder")
-    if not ladder:
-        raise ValidationError("bench needs a nonempty --ladder")
-    rows = []
-    if args.suite == "sieve-vs-oracle":
-        for bound in ladder:
-            t0 = time.perf_counter()
-            oracle = sieve_primes_below(bound, segment_size=cfg.segment_size)
-            t1 = time.perf_counter()
-            mine = primes_below(bound, include_two=True)
-            t2 = time.perf_counter()
-            if len(oracle) != len(mine) or oracle != mine:
-                raise InvariantViolation(
-                    f"exclusion sieve disagrees with oracle at bound {bound}"
-                )
-            rows.append(
-                {
-                    "suite": args.suite,
-                    "bound": bound,
-                    "count": len(oracle),
-                    "oracle_ms": round((t1 - t0) * 1000, 3),
-                    "exclusion_ms": round((t2 - t1) * 1000, 3),
-                    "oracle_primes_per_s": int(len(oracle) / max(t1 - t0, 1e-9)),
-                    "exclusion_primes_per_s": int(len(mine) / max(t2 - t1, 1e-9)),
-                }
-            )
-    elif args.suite == "relations-throughput":
-        basis = primes_leq_sqrt(1000)
-        for budget in ladder:
-            for construction in (RELATION1, RELATION2, RELATION3):
-                t0 = time.perf_counter()
-                try:
-                    certs = enumerate_certified(
-                        construction, basis, budget, candidate_cap=cfg.candidate_cap
-                    )
-                except ResourceLimitError:
-                    rows.append(
-                        {
-                            "suite": args.suite,
-                            "construction": construction,
-                            "budget": budget,
-                            "accepted": "over-candidate-cap",
-                            "elapsed_ms": 0.0,
-                            "certs_per_s": 0,
-                        }
-                    )
-                    continue
-                dt = time.perf_counter() - t0
-                rows.append(
-                    {
-                        "suite": args.suite,
-                        "construction": construction,
-                        "budget": budget,
-                        "accepted": len(certs),
-                        "elapsed_ms": round(dt * 1000, 3),
-                        "certs_per_s": int(len(certs) / max(dt, 1e-9)),
-                    }
-                )
-    else:  # bigsearch-scaling
-        for seed in ladder:
-            t0 = time.perf_counter()
-            state = build_state(seed, c_digit_cap=cfg.seed_cap_digits)
-            t1 = time.perf_counter()
-            scanned = 64
-            nonempty = sum(1 for _, values in _window_values(state, 1, scanned) if values)
-            t2 = time.perf_counter()
-            rows.append(
-                {
-                    "suite": args.suite,
-                    "seed": seed,
-                    "c_digits": len(str(state.product)),
-                    "build_ms": round((t1 - t0) * 1000, 3),
-                    "windows_scanned": scanned,
-                    "nonempty_windows": nonempty,
-                    "scan_ms": round((t2 - t1) * 1000, 3),
-                }
-            )
-    return rows
-
-
-def _cmd_bench(args, cfg: RunConfig) -> int:
-    rows = _bench_rows(args, cfg)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(list(rows[0].keys()))
-    for row in rows:
-        writer.writerow(list(row.values()))
     return 0
 
 
@@ -589,6 +474,8 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"log line {lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise ValidationError(f"log line {lineno}: not a JSON object")
             missing = [key for key in _REQUIRED_LOG_KEYS if key not in record]
             if missing:
                 raise ValidationError(f"log line {lineno}: missing keys {missing}")
@@ -596,21 +483,26 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                 value = int(record["value"])
             except (TypeError, ValueError):
                 raise ValidationError(f"log line {lineno}: value is not a decimal string") from None
+            claimed = record["verdict"].get("status") if isinstance(record["verdict"], dict) else None
+            if not isinstance(claimed, str):
+                raise ValidationError(f"log line {lineno}: verdict is not an object with a status")
+            try:
+                actual = is_prime(value)
+            except ValidationError as exc:
+                raise ValidationError(f"log line {lineno}: {exc}") from None
             checked += 1
-            claimed_prime = record["verdict"]["status"] in ("proven-prime", "probable-prime")
-            actual = is_prime(value)
-            if actual.is_prime != claimed_prime:
+            if actual.is_prime != (claimed in ("proven-prime", "probable-prime")):
                 mismatches.append(
                     Item(
                         {
                             "line": lineno,
                             "value": record["value"],
-                            "claimed": record["verdict"]["status"],
+                            "claimed": claimed,
                             "actual": actual.status,
                             "witness": None if actual.witness is None else str(actual.witness),
                         },
                         f"line {lineno}: value {record['value']} claimed "
-                        f"{record['verdict']['status']} but oracle says {actual.status}",
+                        f"{claimed} but oracle says {actual.status}",
                     )
                 )
     summary = Item(
@@ -629,7 +521,6 @@ _HANDLERS = {
     "rel2": _cmd_relation,
     "rel3": _cmd_relation,
     "bigsearch": _cmd_bigsearch,
-    "bench": _cmd_bench,
     "verify": _cmd_verify,
 }
 
@@ -653,11 +544,10 @@ def _resolve_config(args) -> RunConfig:
         workers=workers,
         seed_cap_digits=_resolve_int(args.seed_cap_digits, "SEED_CAP_DIGITS", DEFAULT_C_DIGIT_CAP),
         candidate_cap=_resolve_int(args.candidate_cap, "CANDIDATE_CAP", DEFAULT_CANDIDATE_CAP),
-        segment_size=_resolve_int(args.segment_size, "SEGMENT_SIZE", DEFAULT_SEGMENT_SIZE),
         paper_faithful=bool(paper),
     )
-    if cfg.seed_cap_digits < 1 or cfg.candidate_cap < 1 or cfg.segment_size < 64:
-        raise ValidationError("resource caps must be positive (segment size >= 64)")
+    if cfg.seed_cap_digits < 1 or cfg.candidate_cap < 1:
+        raise ValidationError("resource caps must be positive")
     return cfg
 
 

@@ -75,7 +75,7 @@ def reference_basis() -> PrimeBasis:
     return primes_leq_sqrt(REFERENCE_BOUND)
 
 
-def relation1_report(include_errata: bool = True) -> list[ReferenceEntry]:
+def relation1_report() -> list[ReferenceEntry]:
     """Evaluate each relation1 column; for inconsistent ones, search the
     bounded grid for parameters that do reach the printed value."""
     basis = reference_basis()
@@ -83,11 +83,8 @@ def relation1_report(include_errata: bool = True) -> list[ReferenceEntry]:
     for index, (b1, b2, k, exps, printed) in enumerate(RELATION1_COLUMNS, start=1):
         cert = eval_relation1(Relation1Params(basis, b1, b2, k, exps))
         consistent = cert.accepted and cert.signed_value == printed
-        if consistent:
-            entries.append(ReferenceEntry(index, printed, cert, True))
-        elif include_errata:
-            replacement = find_relation1_params(basis, printed, ERRATA_SEARCH_BUDGET, 2)
-            entries.append(ReferenceEntry(index, printed, cert, False, replacement))
+        replacement = None if consistent else find_relation1_params(basis, printed, ERRATA_SEARCH_BUDGET, 2)
+        entries.append(ReferenceEntry(index, printed, cert, consistent, replacement))
     return entries
 
 

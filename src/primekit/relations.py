@@ -44,10 +44,7 @@ RELATION1 = "relation1"
 RELATION1_FACTORIAL = "relation1-factorial"
 RELATION2 = "relation2"
 RELATION3 = "relation3"
-EXCLUSION_SIEVE = "exclusion-sieve"
 BIG_SEARCH = "big-search"
-
-CONSTRUCTIONS = (RELATION1, RELATION1_FACTORIAL, RELATION2, RELATION3)
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
 
@@ -109,9 +106,6 @@ class Relation1Params:
         if self.multiplier < 1:
             raise ValidationError(f"multiplier must be >= 1, got {self.multiplier}")
         object.__setattr__(self, "large_exponents", _normalize_exponents(self.large_exponents))
-
-    def exponent_map(self) -> dict[int, int]:
-        return dict(self.large_exponents)
 
     def to_json_dict(self) -> dict:
         return {

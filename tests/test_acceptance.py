@@ -232,10 +232,6 @@ def test_criterion_8_mersenne_cross_check():
 
 
 TIMING_KEYS = {"elapsed_ms", "timestamp"}
-TIMING_COLUMNS = {
-    "oracle_ms", "exclusion_ms", "build_ms", "scan_ms", "elapsed_ms",
-    "oracle_primes_per_s", "exclusion_primes_per_s", "certs_per_s",
-}
 
 
 def _strip_timing(obj):
@@ -253,10 +249,6 @@ def _normalize(out, fmt):
         return "\n".join(
             json.dumps(_strip_timing(json.loads(line))) for line in out.splitlines()
         )
-    if fmt == "csv":
-        rows = [line.split(",") for line in out.splitlines()]
-        keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_COLUMNS]
-        return "\n".join(",".join(row[i] for i in keep) for row in rows)
     return out
 
 
@@ -275,9 +267,6 @@ def test_criterion_9_determinism_across_worker_counts(capsys, tmp_path):
         (["rel3", "--bound", "119", "--b", "2,1,2,2", "--k", "1,1,1,1", "--format", "json"], "json"),
         (["rel3", "--bound", "119", "--enumerate", "--budget", "2", "--format", "jsonl"], "jsonl"),
         (["bigsearch", "--seed", "13", "--max-n", "18", "--format", "jsonl"], "jsonl"),
-        (["bench", "--suite", "sieve-vs-oracle", "--ladder", "10000"], "csv"),
-        (["bench", "--suite", "relations-throughput", "--ladder", "4"], "csv"),
-        (["bench", "--suite", "bigsearch-scaling", "--ladder", "13,31"], "csv"),
     ]
     with criterion(9, "worker count never changes non-timing output", None):
         code, _ = run_cli_quiet(capsys, "bigsearch", "--seed", "13", "--max-n", "18",

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd, log2
 
@@ -151,6 +152,22 @@ class TestSearch:
         hits = search(state, 8, min_n=1)
         keys = [(h.n, h.k) for h in hits]
         assert keys == sorted(keys)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+        reason="no limit on int-to-str conversion",
+    )
+    def test_k_up_to_the_int_to_str_limit(self):
+        # seed 7: c = 15 and every exponent has hits; the last exponent whose
+        # largest k still fits the digit limit keeps them, the next one refuses
+        limit = sys.get_int_max_str_digits()
+        state = build_state(7)
+        last = (state.product * 10 ** limit - state.high - 1).bit_length() - 1
+        hits = search(state, last, min_n=last - 2)
+        assert {h.n for h in hits} == {last - 2, last - 1, last}
+        assert len(str(hits[-1].k)) == limit
+        with pytest.raises(ResourceLimitError):
+            search(state, last + 1, min_n=last - 2)
 
     def test_certificate_params_round_trip(self):
         hit = search(build_state(13), 10)[0]

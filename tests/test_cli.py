@@ -1,6 +1,5 @@
 import json
 
-from brute_force_bigsearch import odd_k_candidates
 from helpers import slow_primes_below
 from primekit import bigsearch
 from primekit.cli import run
@@ -200,6 +199,12 @@ class TestBigsearch:
         )
         assert code == 2 and "resource error" in err
 
+    def test_k_past_the_int_to_str_limit_exit_two(self, capsys):
+        # k near 2^14410 / 15 has over 4,300 digits, more than Python converts to str
+        code, out, err = run_cli(capsys, "bigsearch", "--seed", "7", "--min-n", "14400", "--max-n", "14410")
+        assert code == 2 and out == ""
+        assert "resource error" in err and "get_int_max_str_digits" in err
+
 
 class TestLogAndVerify:
     def test_round_trip(self, capsys, tmp_path):
@@ -247,6 +252,23 @@ class TestLogAndVerify:
         code, _, err = run_cli(capsys, "verify", "--log", str(log))
         assert code == 1 and "line 1" in err  # first line lacks required keys
 
+    def test_malformed_lines_name_the_line(self, capsys, tmp_path):
+        good = {
+            "timestamp": "t", "construction": "big-search", "params": {}, "value": "131",
+            "digits": 3, "verdict": {"status": "proven-prime"}, "tool_version": "0",
+        }
+        cases = [
+            ("5", "not a JSON object"),
+            (json.dumps({**good, "verdict": "x"}), "verdict"),
+            (json.dumps({**good, "value": "-7"}), "non-negative"),
+        ]
+        for bad, message in cases:
+            log = tmp_path / "bad.jsonl"
+            log.write_text(json.dumps(good) + "\n" + bad + "\n")
+            code, out, err = run_cli(capsys, "verify", "--log", str(log))
+            assert code == 1 and out == "", bad
+            assert err.startswith("error: log line 2: ") and message in err, bad
+
     def test_missing_log_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "--log", str(tmp_path / "nope.jsonl"))
         assert code == 1
@@ -289,48 +311,6 @@ class TestLogAndVerify:
         assert len(log.read_text().splitlines()) == 1
 
 
-class TestBench:
-    def test_sieve_vs_oracle_counts_match(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--suite", "sieve-vs-oracle", "--ladder", "10000,100000",
-        )
-        assert code == 0
-        lines = out.splitlines()
-        header = lines[0].split(",")
-        assert "count" in header
-        assert len(lines) == 3
-
-    def test_relations_throughput_deterministic_counts(self, capsys):
-        _, first, _ = run_cli(
-            capsys, "bench", "--suite", "relations-throughput", "--ladder", "4",
-        )
-        _, second, _ = run_cli(
-            capsys, "bench", "--suite", "relations-throughput", "--ladder", "4",
-        )
-        parse = lambda text: [line.split(",")[:4] for line in text.splitlines()]
-        assert parse(first) == parse(second)
-
-    def test_bigsearch_scaling_digit_counts(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--suite", "bigsearch-scaling", "--ladder", "13,31,101",
-        )
-        assert code == 0
-        lines = [line.split(",") for line in out.splitlines()]
-        header = lines[0]
-        digit_col = header.index("c_digits")
-        assert [row[digit_col] for row in lines[1:]] == ["4", "10", "37"]
-        nonempty_col = header.index("nonempty_windows")
-        want = [
-            sum(1 for n in range(1, 65) if odd_k_candidates(bigsearch.build_state(seed), n))
-            for seed in (13, 31, 101)
-        ]
-        assert [int(row[nonempty_col]) for row in lines[1:]] == want
-
-    def test_unknown_suite(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--suite", "nope", "--ladder", "1")
-        assert code == 1
-
-
 class TestConfig:
     def test_env_format(self, capsys, monkeypatch):
         monkeypatch.setenv("PRIMEKIT_FORMAT", "json")
@@ -353,6 +333,14 @@ class TestConfig:
         _, one, _ = run_cli(capsys, "sieve", "--bound", "1000", "--workers", "1")
         _, eight, _ = run_cli(capsys, "sieve", "--bound", "1000", "--workers", "8")
         assert one == eight
+
+    def test_retired_bench_and_segment_size_are_rejected(self, capsys):
+        for argv in (
+            ["bench", "--suite", "sieve-vs-oracle", "--ladder", "10000"],
+            ["sieve", "--bound", "100", "--segment-size", "128"],
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 1 and out == "", argv
 
     def test_missing_subcommand(self, capsys):
         code, _, err = run_cli(capsys)
