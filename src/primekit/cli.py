@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -96,6 +97,7 @@ def _resolve_int(flag_value, env_name: str, default: int) -> int:
     return default
 
 
+@cache  # the tree holds no per-call state; config is resolved per call
 def _build_parser() -> _Parser:
     core = _Parser(add_help=False)
     core.add_argument("--format", choices=FORMATS, default=None)

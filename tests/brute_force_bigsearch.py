@@ -1,11 +1,13 @@
-"""The big search as it stood before the residue-class walk: the exact
-rational k window per exponent, its odd integers, and the search and
-min_exponent scan built on them. Kept as the reference the residue-class
-search must match hit for hit (tests/test_bigsearch.py)."""
+"""The big search as it stood before its hit set was solved by discrete
+logs, kept as references the search must match hit for hit
+(tests/test_bigsearch.py): the exact rational k window per exponent, its
+odd integers, and the search and min_exponent scan built on them; and the
+residue-class walk that replaced them, one exponent at a time."""
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +15,19 @@ from primekit.bigsearch import SearchHit, SearchState
 from primekit.errors import InvariantViolation, ResourceLimitError, ValidationError
 from primekit.oracle import is_prime
 from primekit.relations import BIG_SEARCH, CandidateCertificate
+
+
+def _window_values(state: SearchState, first: int, last: int) -> Iterator[tuple[int, range]]:
+    """(n, values) for n = first..last: the R in (low, high] with
+    R = c - 2^n (mod 2c), ascending, which is ascending k."""
+    if first < 1:
+        raise ValidationError(f"exponent must be >= 1, got {first}")
+    modulus = 2 * state.product
+    power = pow(2, first, modulus)  # 2^n mod 2c, doubled once per exponent
+    for n in range(first, last + 1):
+        head = state.low + 1 + (state.product - power - state.low - 1) % modulus
+        yield n, range(head, state.high + 1, modulus)
+        power = 2 * power % modulus
 
 
 def k_window(state: SearchState, n: int) -> tuple[Fraction, Fraction]:

@@ -1,15 +1,16 @@
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, log2
 
 import pytest
 
 import brute_force_bigsearch as reference
-from brute_force_bigsearch import k_window, odd_k_candidates
+from brute_force_bigsearch import _window_values, k_window, odd_k_candidates
 from helpers import slow_is_prime
 from primekit import bigsearch
-from primekit.bigsearch import build_state, min_exponent, search
+from primekit.bigsearch import build_state, every_hit, min_exponent, search
 from primekit.errors import InvariantViolation, ResourceLimitError, ValidationError
 from primekit.oracle import OracleVerdict
 
@@ -221,6 +222,62 @@ class TestMatchesWindowReference:
             assert _outcome(lambda: search(state, 18, min_n=min_n)) == want
 
 
+def _expand(hit_set, last):
+    """(n, R) for every n <= last at which a triple puts R, in (n, R) order."""
+    return sorted((n, value) for value, n0, period in hit_set for n in range(n0, last + 1, period))
+
+
+def _walk(state, last):
+    return [(n, value) for n, values in _window_values(state, 1, last) for value in values]
+
+
+def _order_of_two(modulus):
+    n, power = 1, 2 % modulus
+    while power != 1:
+        n, power = n + 1, 2 * power % modulus
+    return n
+
+
+class TestEveryHit:
+    """The hit set solved by discrete logs against the exponent-by-exponent walk."""
+
+    def test_expansion_matches_the_walk(self):
+        for seed in PRIME_SEEDS:
+            state = build_state(seed)
+            assert _expand(every_hit(state), 1500) == _walk(state, 1500), seed
+
+    @pytest.mark.parametrize("seed, high", [(19, 15014), (23, 100000), (29, 100000)])
+    def test_wider_windows_match_the_walk(self, seed, high):
+        # no real seed past 13 has a hit, so windows (1, high] wider than the
+        # seed's leave hits for c's last one or two primes to refine, with
+        # moduli that share a factor (60 and ord_17(2) = 8, for seed 19)
+        state = replace(build_state(seed), low=1, high=high)
+        hits = every_hit(state)
+        period = _order_of_two(state.product)
+        assert hits and {p for _, _, p in hits} == {period}
+        assert _expand(hits, 2 * period) == _walk(state, 2 * period)
+
+    def test_each_class(self):
+        periods = {}
+        for seed in PRIME_SEEDS:
+            state = build_state(seed)
+            c = state.product
+            for value, n0, period in every_hit(state):
+                assert period == _order_of_two(c) and 1 <= n0 <= period
+                assert pow(2, n0, c) == -value % c
+                assert all(pow(2, n, c) != -value % c for n in range(1, n0))
+                periods[seed] = period
+        assert periods == {5: 2, 7: 4, 11: 12, 13: 60}
+
+    def test_no_hit_past_seed_13(self):
+        found = set()
+        for seed in (p for p in range(5, 1010) if slow_is_prime(p)):
+            hits = every_hit(build_state(seed))
+            assert seed <= 13 or not hits, seed
+            found |= {value for value, _, _ in hits}
+        assert sorted(found) == [7, 11, 13, 17, 19, 23, 29, 37, 41, 43, 59, 73, 89, 97, 101, 103, 131, 157]
+
+
 class TestPerHitChecks:
     """Each check on a hit raises InvariantViolation on its own."""
 
@@ -242,7 +299,8 @@ class TestPerHitChecks:
         ],
     )
     def test_bad_value_at_n10(self, monkeypatch, value, message):
-        monkeypatch.setattr(bigsearch, "_window_values", lambda state, first, last: iter([(10, [value])]))
+        # one class, n = 10 (mod 60), puts the bad value at n = 10 only
+        monkeypatch.setattr(bigsearch, "every_hit", lambda state: [(value, 10, 60)])
         monkeypatch.setattr(
             bigsearch, "is_prime", lambda x: OracleVerdict(x, "proven-prime", "sieve-lookup", None)
         )

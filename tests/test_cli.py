@@ -1,7 +1,10 @@
 import json
+import sys
+
+import pytest
 
 from helpers import slow_primes_below
-from primekit import bigsearch
+from primekit import bigsearch, cli
 from primekit.cli import run
 from primekit.oracle import OracleVerdict
 
@@ -139,6 +142,21 @@ class TestZscan:
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "zscan", "--a", "x..y", "--c", "1", "--n", "2")
         assert code == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+        reason="no limit on int-to-str conversion",
+    )
+    def test_z_past_the_int_to_str_limit_exit_two(self, capsys):
+        # at a = c = 1, Z = 2^n - 1: the last exponent whose Z Python still
+        # converts to str is evaluated (composite, so no output); past it,
+        # zscan refuses before computing any Z
+        last = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+        assert run_cli(capsys, "zscan", "--a", "1", "--c", "1", "--n", str(last), "--no-skip") == (0, "", "")
+        for n in (last + 1, 21701):
+            code, out, err = run_cli(capsys, "zscan", "--a", "1", "--c", "1", "--n", f"2..{n}")
+            assert code == 2 and out == "", n
+            assert "resource error" in err and "get_int_max_str_digits" in err
 
 
 class TestBigsearch:
@@ -341,6 +359,47 @@ class TestConfig:
         ):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 1 and out == "", argv
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # (PRIMEKIT_FORMAT, argv): alternating subcommands, a failed parse
+        # followed by a good one, format changes through the environment,
+        # and --version, which exits through argparse
+        rel3 = ["rel3", "--bound", "119", "--b", "2,1,2,2", "--k", "1,1,1,1"]
+        steps = [
+            (None, ["sieve", "--bound", "30"]),
+            (None, rel3),
+            (None, ["sieve", "--bound", "30", "--segment-size", "128"]),
+            (None, ["bigsearch", "--seed", "13", "--max-n", "18"]),
+            ("json", ["sieve", "--bound", "30"]),
+            ("csv", rel3),
+            (None, ["--version"]),
+            (None, ["zscan", "--a", "1", "--c", "1", "--n", "2..13"]),
+            (None, []),
+            (None, ["sieve", "--bound", "30"]),
+        ]
+
+        def outcome(fmt, argv):
+            if fmt is None:
+                monkeypatch.delenv("PRIMEKIT_FORMAT", raising=False)
+            else:
+                monkeypatch.setenv("PRIMEKIT_FORMAT", fmt)
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            return (code, *capsys.readouterr())
+
+        cli._build_parser.cache_clear()
+        shared = [outcome(fmt, argv) for fmt, argv in steps]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for fmt, argv in steps:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(fmt, argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0, 0, ("exit", 0), 0, 1, 0]
+        assert json.loads(shared[4][1])[0] == {"value": "2"}
+        assert shared[5][1].startswith("value,") and shared[9] == shared[0]
 
     def test_missing_subcommand(self, capsys):
         code, _, err = run_cli(capsys)

@@ -21,7 +21,6 @@ class TestComputeZn:
         result = compute_zn(GeneralMersenneParams(1, 1, 2))
         assert result.value == 3
         assert result.verdict.is_prime
-        assert result.divisibility_exact
 
     def test_prime_exponent_composite_value(self):
         # prime exponent does not make the value prime: the converse fails
