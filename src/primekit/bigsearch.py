@@ -31,7 +31,6 @@ import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
@@ -51,11 +50,6 @@ class SearchState:
     product: int
     low: int
     high: int
-
-    @cached_property
-    def hit_set(self) -> list[tuple[int, int, int]]:
-        """every_hit(self), worked out on first use and kept with the state."""
-        return every_hit(self)
 
 
 @dataclass(frozen=True)
@@ -158,49 +152,16 @@ def _expand(hit_set: list[tuple[int, int, int]], first: int, last: int) -> Itera
             yield base + offset, value
 
 
-def min_exponent(state: SearchState, unit_multiplier: bool | None = None, max_scan: int | None = None) -> int:
-    """Smallest usable exponent up to max_scan (default 4*bits(c) + 64).
-
-    unit_multiplier=True asks for the smallest n whose window contains
-    k = 1; False for the smallest n whose window contains any odd k; None
-    tries the k = 1 reading first and falls back to the general one.
-    ResourceLimitError when no exponent up to max_scan is usable.
-    """
-    c, low, high = state.product, state.low, state.high
-    cap = max_scan if max_scan is not None else 4 * c.bit_length() + 64
-    if unit_multiplier is not False:
-        # k = 1 admissible iff c - high <= 2^n <= c - low - 1
-        lo_target = max(2, c - high)
-        hi_target = c - low - 1
-        n = max(1, (lo_target - 1).bit_length())  # smallest n with 2^n >= lo_target
-        if 2 ** n <= hi_target:
-            if n > cap:
-                # no window below this n holds any k >= 1, so none is usable
-                raise ResourceLimitError(
-                    f"k=1 first fits the window for seed {state.seed} at exponent {n}, above {cap}"
-                )
-            return n
-        if unit_multiplier is True:
-            raise ValidationError(
-                f"no exponent puts k=1 in the window for seed {state.seed}"
-            )
-    hits = state.hit_set
-    if hits and hits[0][1] <= cap:
-        return hits[0][1]
-    raise ResourceLimitError(
-        f"no nonempty odd-k window for seed {state.seed} within {cap} exponents"
-    )
-
-
 def search(
     state: SearchState,
     max_exponent: int,
     max_hits: int | None = None,
     min_n: int | None = None,
 ) -> list[SearchHit]:
-    """Every R = c*k - 2^n with min_n <= n <= max_exponent, oracle-checked,
-    in (n, R) order (ascending R at one n is ascending k), up to max_hits:
-    the classes of every_hit expanded over those exponents.
+    """Every R = c*k - 2^n with min_n <= n <= max_exponent (min_n defaults
+    to 1), oracle-checked, in (n, R) order (ascending R at one n is
+    ascending k), up to max_hits: the classes of every_hit expanded over
+    those exponents.
 
     Every hit is checked again on its own: inside the window and odd,
     prime by the oracle, coprime to c, and c*k - 2^n for an odd k; any
@@ -209,9 +170,11 @@ def search(
     ResourceLimitError, before any exponent is scanned, when k could pass
     Python's limit on int-to-str conversion (sys.get_int_max_str_digits()),
     since every hit carries k in decimal."""
+    if max_hits is not None and max_hits < 0:
+        raise ValidationError(f"max hits must be >= 0, got {max_hits}")
     if max_hits == 0:
         return []
-    start = min_n if min_n is not None else min_exponent(state)
+    start = min_n if min_n is not None else 1
     if max_exponent < start:
         raise ValidationError(
             f"max exponent {max_exponent} is below the starting exponent {start}"
@@ -231,7 +194,7 @@ def search(
     if start < 1:
         raise ValidationError(f"exponent must be >= 1, got {start}")
     hits: list[SearchHit] = []
-    for n, value in _expand(state.hit_set, start, max_exponent):
+    for n, value in _expand(every_hit(state), start, max_exponent):
         shift = 2 ** n
         k = (value + shift) // state.product
         if not state.low < value <= state.high or value % 2 == 0:

@@ -25,7 +25,7 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, min_exponent, search
+from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, search
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .exclusion import ExclusionSpec, excluded_k, primes_below
 from .mersenne import scan_prime_zn
@@ -161,7 +161,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-hits", type=int, default=None)
     p.add_argument("--min-n", type=int, default=None)
-    p.add_argument("--min-mode", choices=("auto", "k1", "any"), default="auto")
 
     p = sub.add_parser("verify", parents=[core], help="re-check a result log against the oracle")
     p.add_argument("--log", required=True, help="JSONL result log to verify")
@@ -430,16 +429,8 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
 
 def _cmd_bigsearch(args, cfg: RunConfig) -> int:
     state = build_state(args.seed, c_digit_cap=cfg.seed_cap_digits)
-    start = args.min_n
-    if start is None:
-        unit = {"auto": None, "k1": True, "any": False}[args.min_mode]
-        try:
-            start = min_exponent(state, unit_multiplier=unit, max_scan=args.max_n)
-        except ResourceLimitError:
-            # no usable exponent up to --max-n: search them all, as --min-n 1 does
-            start = 1
     began = time.perf_counter()
-    hits = search(state, args.max_n, max_hits=args.max_hits, min_n=start)
+    hits = search(state, args.max_n, max_hits=args.max_hits, min_n=args.min_n)
     items = []
     for hit in hits:
         params = hit.certificate.params  # seed, k and n, k already in decimal
@@ -568,6 +559,8 @@ def run(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
         return 3
+    except SystemExit as exc:  # --help and --version exit through argparse once printed
+        return exc.code
 
 
 def main() -> None:

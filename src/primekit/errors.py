@@ -14,7 +14,7 @@ class ValidationError(PrimekitError, ValueError):
 
 
 class ResourceLimitError(PrimekitError, RuntimeError):
-    """A configured resource cap (digits, candidates, memory) would be exceeded."""
+    """A configured resource cap (digits, candidates) would be exceeded."""
 
 
 class InvariantViolation(PrimekitError, AssertionError):

@@ -417,6 +417,8 @@ def enumeration_grid_size(
     """Exact number of parameter tuples enumerate_certified would evaluate."""
     if budget < 0:
         raise ValidationError("budget must be >= 0")
+    if exponent_slots < 0:
+        raise ValidationError("exponent slots must be >= 0")
     if budget == 0:
         return 0
     if construction in (RELATION1, RELATION1_FACTORIAL):

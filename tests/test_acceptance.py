@@ -10,7 +10,7 @@ from math import gcd, log2
 
 
 from helpers import slow_is_prime, slow_primes_below
-from primekit.bigsearch import build_state, min_exponent, search
+from primekit.bigsearch import build_state, search
 from primekit.cli import run
 from primekit.exclusion import ExclusionSpec, excluded_k, primes_below
 from primekit.mersenne import (
@@ -119,7 +119,6 @@ def test_criterion_6_search_worked_example():
     with criterion(6, "seed-13 search trace", 1.0):
         state = build_state(13)
         assert state.product == 1155
-        assert min_exponent(state) == 10
         hits = search(state, 18)
         assert [(h.k, h.n, h.value) for h in hits] == [(1, 10, 131), (227, 18, 41)]
 

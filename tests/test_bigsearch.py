@@ -10,7 +10,7 @@ import brute_force_bigsearch as reference
 from brute_force_bigsearch import _window_values, k_window, odd_k_candidates
 from helpers import slow_is_prime
 from primekit import bigsearch
-from primekit.bigsearch import build_state, every_hit, min_exponent, search
+from primekit.bigsearch import build_state, every_hit, search
 from primekit.errors import InvariantViolation, ResourceLimitError, ValidationError
 from primekit.oracle import OracleVerdict
 
@@ -77,38 +77,6 @@ class TestKWindow:
             assert in_window == in_range, (state.seed, n, k)
 
 
-class TestMinExponent:
-    def test_seed_13_unit_multiplier(self):
-        state = build_state(13)
-        assert min_exponent(state) == 10
-        assert min_exponent(state, unit_multiplier=True) == 10
-        assert min_exponent(state, unit_multiplier=False) == 10
-
-    def test_seed_5_falls_back_to_nonempty(self):
-        state = build_state(5)
-        assert min_exponent(state) == 1
-        with pytest.raises(ValidationError):
-            min_exponent(state, unit_multiplier=True)
-        assert min_exponent(state, unit_multiplier=False) == 1
-
-    def test_window_at_min_exponent_is_nonempty(self):
-        for seed in (5, 7, 13):
-            state = build_state(seed)
-            assert odd_k_candidates(state, min_exponent(state))
-
-    def test_scan_cap(self):
-        state = build_state(31)
-        with pytest.raises(ResourceLimitError):
-            min_exponent(state, unit_multiplier=False, max_scan=3)
-
-    def test_scan_cap_bounds_the_unit_multiplier_exponent(self):
-        state = build_state(13)  # k = 1 first fits at n = 10
-        assert min_exponent(state, max_scan=10) == 10
-        for unit in (None, True):
-            with pytest.raises(ResourceLimitError):
-                min_exponent(state, unit_multiplier=unit, max_scan=9)
-
-
 class TestSearch:
     def test_seed_13_trace(self):
         state = build_state(13)
@@ -131,9 +99,18 @@ class TestSearch:
         hits = search(build_state(13), 18, max_hits=1)
         assert len(hits) == 1 and hits[0].value == 131
 
+    def test_negative_max_hits(self):
+        for max_hits in (-1, -5):
+            with pytest.raises(ValidationError, match="max hits"):
+                search(build_state(13), 18, max_hits=max_hits)
+
     def test_max_exponent_below_start(self):
         with pytest.raises(ValidationError):
-            search(build_state(13), 5)
+            search(build_state(13), 5, min_n=7)
+
+    def test_no_hit_is_an_empty_result(self):
+        # seed 17 has no hit at any exponent: that is a result, not a cap
+        assert search(build_state(17), 1000) == []
 
     def test_hits_are_prime_odd_in_range_coprime(self):
         for seed in (5, 7, 13, 31):
@@ -195,24 +172,16 @@ PRIME_SEEDS = [p for p in range(5, 114) if slow_is_prime(p)]
 class TestMatchesWindowReference:
     """The residue-class walk against the seed's exact rational windows."""
 
-    def test_min_exponent(self):
-        for seed in PRIME_SEEDS:
-            state = build_state(seed)
-            for unit in (None, True, False):
-                for cap in (None, 1, 7, 300):
-                    want = _outcome(lambda: reference.min_exponent(state, unit, cap))
-                    got = _outcome(lambda: min_exponent(state, unit, cap))
-                    assert got == want, (seed, unit, cap)
-
     def test_search(self):
         for seed in PRIME_SEEDS:
             state = build_state(seed)
             for min_n in (None, 1, 7):
                 for max_exponent in (1, 7, 18, 300):
                     for max_hits in (None, 1, 3):
-                        args = (state, max_exponent, max_hits, min_n)
-                        want = _outcome(lambda: _hit_keys(reference.search(*args)))
-                        got = _outcome(lambda: _hit_keys(search(*args)))
+                        args = (state, max_exponent, max_hits)
+                        # without min_n the search starts at exponent 1
+                        want = _outcome(lambda: _hit_keys(reference.search(*args, min_n or 1)))
+                        got = _outcome(lambda: _hit_keys(search(*args, min_n)))
                         assert got == want, (seed, min_n, max_exponent, max_hits)
 
     def test_nonpositive_start(self):

@@ -94,6 +94,13 @@ class TestRelationCommands:
         values = {int(json.loads(line)["value"]) for line in out.splitlines()}
         assert {29, 31, 37, 41, 43, 47} <= values
 
+    def test_negative_slots_exit_one(self, capsys):
+        for name in ("rel1", "rel1f"):
+            argv = [name, "--bound", "119", "--enumerate", "--budget", "3"]
+            code, out, err = run_cli(capsys, *argv, "--slots", "-1")
+            assert code == 1 and out == "" and "slots" in err, name
+            assert run_cli(capsys, *argv, "--slots", "0")[0] == 0, name
+
     def test_enumerate_needs_budget(self, capsys):
         code, _, err = run_cli(capsys, "rel1", "--bound", "119", "--enumerate")
         assert code == 1 and "--budget" in err
@@ -189,11 +196,18 @@ class TestBigsearch:
         assert records[0]["elapsed_ms"] < records[-1]["elapsed_ms"] / 2
 
     def test_default_start_scans_up_to_max_n(self, capsys):
-        # seed 17 has no usable exponent up to 1000: without --min-n the
-        # scan still covers all of them and ends as --min-n 1 does
+        # seed 17 has no hit at any exponent: without --min-n the scan
+        # starts at exponent 1 and ends as --min-n 1 does
         default = run_cli(capsys, "bigsearch", "--seed", "17", "--max-n", "1000")
         from_one = run_cli(capsys, "bigsearch", "--seed", "17", "--max-n", "1000", "--min-n", "1")
         assert default == from_one == (0, "", "")
+
+    def test_negative_max_hits_exit_one(self, capsys):
+        for max_hits in ("-1", "-5"):
+            code, out, err = run_cli(
+                capsys, "bigsearch", "--seed", "13", "--max-n", "18", "--max-hits", max_hits,
+            )
+            assert code == 1 and out == "" and "max hits" in err, max_hits
 
     def test_refuted_hit_exit_three(self, capsys, monkeypatch):
         # the oracle passes the seed 13 and refutes both hits (131 and 41)
@@ -356,6 +370,7 @@ class TestConfig:
         for argv in (
             ["bench", "--suite", "sieve-vs-oracle", "--ladder", "10000"],
             ["sieve", "--bound", "100", "--segment-size", "128"],
+            ["bigsearch", "--seed", "13", "--max-n", "18", "--min-mode", "any"],
         ):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 1 and out == "", argv
@@ -363,7 +378,7 @@ class TestConfig:
     def test_one_parser_serves_every_call(self, capsys, monkeypatch):
         # (PRIMEKIT_FORMAT, argv): alternating subcommands, a failed parse
         # followed by a good one, format changes through the environment,
-        # and --version, which exits through argparse
+        # and --version
         rel3 = ["rel3", "--bound", "119", "--b", "2,1,2,2", "--k", "1,1,1,1"]
         steps = [
             (None, ["sieve", "--bound", "30"]),
@@ -383,11 +398,7 @@ class TestConfig:
                 monkeypatch.delenv("PRIMEKIT_FORMAT", raising=False)
             else:
                 monkeypatch.setenv("PRIMEKIT_FORMAT", fmt)
-            try:
-                code = run(argv)
-            except SystemExit as exc:
-                code = ("exit", exc.code)
-            return (code, *capsys.readouterr())
+            return (run(argv), *capsys.readouterr())
 
         cli._build_parser.cache_clear()
         shared = [outcome(fmt, argv) for fmt, argv in steps]
@@ -397,7 +408,7 @@ class TestConfig:
             cli._build_parser.cache_clear()
             fresh.append(outcome(fmt, argv))
         assert shared == fresh
-        assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0, 0, ("exit", 0), 0, 1, 0]
+        assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0, 0, 0, 0, 1, 0]
         assert json.loads(shared[4][1])[0] == {"value": "2"}
         assert shared[5][1].startswith("value,") and shared[9] == shared[0]
 
