@@ -172,8 +172,6 @@ def search(
     since every hit carries k in decimal."""
     if max_hits is not None and max_hits < 0:
         raise ValidationError(f"max hits must be >= 0, got {max_hits}")
-    if max_hits == 0:
-        return []
     start = min_n if min_n is not None else 1
     if max_exponent < start:
         raise ValidationError(
@@ -193,6 +191,8 @@ def search(
             )
     if start < 1:
         raise ValidationError(f"exponent must be >= 1, got {start}")
+    if max_hits == 0:
+        return []
     hits: list[SearchHit] = []
     for n, value in _expand(every_hit(state), start, max_exponent):
         shift = 2 ** n

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 validation error, 2 resource-cap error, 3 an
 invariant the constructions guarantee was refuted (which falsifies the
-implementation, so it is never swallowed).
+implementation, so it is never swallowed). The console script also exits
+141 (128 + SIGPIPE), quietly, when the reader closes stdout early, as in
+`primekit sieve --bound 2000000 | head -1`.
 
 Big integers are serialized as decimal strings in every structured format;
 floats never carry values. Environment variables PRIMEKIT_* mirror the
@@ -51,6 +53,19 @@ from .relations import (
 
 ENV_PREFIX = "PRIMEKIT_"
 FORMATS = ("text", "json", "csv", "jsonl")
+# values rendered per write: from values of four digits up, 2048 lines fill
+# at least one 8 KiB block of a buffered stdout; a larger chunk only holds
+# the first block back
+SIEVE_CHUNK = 1 << 11
+# per format: what precedes the values, the line of every value but the
+# last, and the line of the last (json closes its array there); each line
+# is _emit's rendering of the record {"value": str(v)}
+_VALUE_LAYOUTS = {
+    "text": ("", "{}\n", "{}\n"),
+    "jsonl": ("", '{{"value":"{}"}}\n', '{{"value":"{}"}}\n'),
+    "csv": ("value\n", "{}\n", "{}\n"),
+    "json": ("[\n", '  {{\n    "value": "{}"\n  }},\n', '  {{\n    "value": "{}"\n  }}\n]\n'),
+}
 
 
 @dataclass
@@ -255,6 +270,20 @@ def _emit(items: list[Item], cfg: RunConfig) -> None:
             log_file.close()
 
 
+def _write_values(values: list[int], fmt: str) -> None:
+    """Write `values` (never empty) in `fmt`, byte for byte as _emit writes
+    one Item({"value": str(v)}, str(v)) per value: SIEVE_CHUNK lines per
+    write, each chunk rendered by one format call."""
+    head, line, last = _VALUE_LAYOUTS[fmt]
+    write = sys.stdout.write
+    write(head)
+    end = len(values) - 1
+    for start in range(0, end, SIEVE_CHUNK):
+        chunk = values[start : min(start + SIEVE_CHUNK, end)]
+        write((line * len(chunk)).format(*chunk))
+    write(last.format(values[end]))
+
+
 def _cmd_sieve(args, cfg: RunConfig) -> int:
     include_two = bool(args.include_two) or not cfg.paper_faithful
     if args.show_exclusions:
@@ -265,8 +294,10 @@ def _cmd_sieve(args, cfg: RunConfig) -> int:
             items.append(Item({"prime": str(prime), "excluded": ks}, f"C={prime}: {','.join(ks)}"))
         _emit(items, cfg)
         return 0
-    primes = primes_below(args.bound, include_two=include_two)
-    _emit([Item({"value": str(p)}, str(p)) for p in primes], cfg)
+    primes = primes_below(args.bound, include_two=include_two)  # a bound >= 9 keeps 3, 5 and 7
+    if cfg.log_path:  # the sieve logs no record, but --log creates the file as for every command
+        open(cfg.log_path, "a", encoding="utf-8").close()
+    _write_values(primes, cfg.format)
     return 0
 
 
@@ -564,7 +595,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe shows here, or in a write inside run
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send what is left to
+        # devnull, so that flush cannot fail and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a process the signal ended
+    sys.exit(code)
 
 
 if __name__ == "__main__":

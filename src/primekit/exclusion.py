@@ -4,7 +4,7 @@ Every odd composite below a bound factors as C*(2m+1) for some odd prime
 C <= sqrt(bound), which in K-space is the arithmetic progression
 K = C*m + (C-1)/2. Striking those progressions over the window
 (C-1)/2 <= m < (bound-C)/(2C) leaves exactly the odd primes. Structurally
-this is a wheel-style sieve, so the strike set is realized as a bitset;
+this is a wheel-style sieve, so the admissible K are kept in a byte mask;
 the exact rational window bounds are kept around (and are what excluded_k
 reports) because an off-by-one at either end silently drops the largest
 prime or keeps a composite.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import ResourceLimitError, ValidationError
 from .oracle import PrimeBasis, primes_leq_sqrt
@@ -35,7 +36,8 @@ class ExclusionSpec:
 
     @classmethod
     def for_bound(cls, bound: int) -> "ExclusionSpec":
-        return cls.for_basis(primes_leq_sqrt(bound), bound)
+        """The sieve's windows for `bound`, refused as primes_below refuses it."""
+        return cls.for_basis(_basis(bound), bound)
 
     @classmethod
     def for_basis(cls, basis: PrimeBasis, bound: int) -> "ExclusionSpec":
@@ -62,38 +64,34 @@ def excluded_k(spec: ExclusionSpec, prime_index: int) -> list[int]:
     return out
 
 
-def _k_limit(bound: int) -> int:
-    # largest K with K < (bound-1)/2, i.e. with R = 2K+1 < bound
-    return (bound - 2) // 2
-
-
-def _strike_mask(bound: int, odd_primes: tuple[int, ...]) -> bytearray:
-    k_max = _k_limit(bound)
-    mask = bytearray(k_max + 1)
+def _admissible_values(bound: int, odd_primes: tuple[int, ...], include_two: bool) -> list[int]:
+    k_max = (bound - 2) // 2  # largest K with R = 2K+1 < bound
+    keep = bytearray(b"\x01") * (k_max + 1)
+    keep[0] = 0  # K = 0 is R = 1
     for p in odd_primes:
         first = (p * p - 1) // 2  # m = (p-1)/2, i.e. R = p*p
         if first <= k_max:
-            mask[first :: p] = bytes([1]) * len(range(first, k_max + 1, p))
-    return mask
-
-
-def _admissible_values(bound: int, odd_primes: tuple[int, ...], include_two: bool) -> list[int]:
-    mask = _strike_mask(bound, odd_primes)
+            keep[first :: p] = bytes(len(range(first, k_max + 1, p)))
     primes = [2] if include_two else []
-    primes.extend(2 * k + 1 for k in range(1, len(mask)) if not mask[k])
+    primes.extend(compress(range(1, 2 * k_max + 2, 2), keep))  # R = 2K+1 for K = 0..k_max
     return primes
 
 
-def primes_below(bound: int, include_two: bool = True) -> list[int]:
-    """All primes below `bound` as 2K+1 over admissible K (plus 2 on request)."""
+def _basis(bound: int) -> PrimeBasis:
+    """The primes at or below sqrt(bound), once `bound` passes the sieve's
+    checks: ValidationError below 9, ResourceLimitError above DENSE_BOUND_MAX."""
     if bound < 9:
         raise ValidationError(f"bound must be at least 9, got {bound}")
     if bound > DENSE_BOUND_MAX:
         raise ResourceLimitError(
             f"bound {bound} exceeds the dense-sieve cap {DENSE_BOUND_MAX}"
         )
-    spec = ExclusionSpec.for_bound(bound)
-    return _admissible_values(bound, spec.basis.odd_primes, include_two)
+    return primes_leq_sqrt(bound)
+
+
+def primes_below(bound: int, include_two: bool = True) -> list[int]:
+    """All primes below `bound` as 2K+1 over admissible K (plus 2 on request)."""
+    return _admissible_values(bound, _basis(bound).odd_primes, include_two)
 
 
 def primes_below_next_square(basis: PrimeBasis, include_two: bool = True) -> list[int]:

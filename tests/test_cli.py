@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
 import sys
+from bisect import bisect_left
+from pathlib import Path
 
 import pytest
 
 from helpers import slow_primes_below
-from primekit import bigsearch, cli
+from primekit import bigsearch, cli, exclusion
 from primekit.cli import run
-from primekit.oracle import OracleVerdict
+from primekit.oracle import OracleVerdict, sieve_primes_below
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +46,109 @@ class TestSieve:
         code, _, err = run_cli(capsys, "sieve", "--bound", "5")
         assert code == 1
         assert "error:" in err
+
+    def test_show_exclusions_bound_below_nine_exit_one(self, capsys):
+        for bound in ("5", "6", "7", "8"):
+            code, out, err = run_cli(capsys, "sieve", "--bound", bound, "--show-exclusions")
+            assert code == 1 and out == "" and "at least 9" in err, bound
+
+    def test_show_exclusions_cap_refuses_before_building(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("built past the dense-sieve cap")
+
+        monkeypatch.setattr(exclusion, "primes_leq_sqrt", never)
+        monkeypatch.setattr(cli, "excluded_k", never)
+        code, out, err = run_cli(
+            capsys, "sieve", "--bound", str(exclusion.DENSE_BOUND_MAX + 1), "--show-exclusions",
+        )
+        assert code == 2 and out == "" and "dense-sieve cap" in err
+
+    def test_log_file_is_created_and_nothing_appended(self, capsys, tmp_path):
+        fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
+        kept.write_text("earlier line\n")
+        for log in (fresh, kept):
+            code, out, _ = run_cli(capsys, "sieve", "--bound", "30", "--log", str(log))
+            assert code == 0 and out.split()[-1] == "29"
+        assert fresh.read_text() == ""
+        assert kept.read_text() == "earlier line\n"
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # as in `primekit sieve --bound 2000000 | head -1`
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "primekit.cli", "sieve", "--bound", "2000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"2\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""
+
+
+# flags -> whether the sieve prints 2
+_SIEVE_FLAGS = {
+    (): True,
+    ("--include-two",): True,
+    ("--paper-faithful",): False,
+    ("--paper-faithful", "--include-two"): True,
+}
+
+
+class TestSieveWriter:
+    """The chunked sieve writer against _emit writing one Item per prime,
+    which is how every sieve was written before and how the other commands
+    still write."""
+
+    @staticmethod
+    def _emitted(primes, fmt):
+        out = io.StringIO()
+        cfg = cli.RunConfig(fmt, None, 1, 1, 1, False)
+        with contextlib.redirect_stdout(out):
+            cli._emit([cli.Item({"value": str(p)}, str(p)) for p in primes], cfg)
+        return out.getvalue()
+
+    @staticmethod
+    def _sieved(bound, fmt, flags):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["sieve", "--bound", str(bound), "--format", fmt, *flags]) == 0
+        return out.getvalue()
+
+    def _check(self, reference, cases, fmt):
+        """Each (bound, flags) against _emit of the primes below bound in
+        `reference`, rendered once per list."""
+        expected = {}
+        for bound, flags in cases:
+            primes = reference[: bisect_left(reference, bound)]
+            if not _SIEVE_FLAGS[flags]:
+                primes = primes[1:]
+            key = (len(primes), primes[0])
+            if key not in expected:
+                expected[key] = self._emitted(primes, fmt)
+            assert self._sieved(bound, fmt, flags) == expected[key], (bound, flags)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_every_bound_to_2000(self, fmt):
+        # the four flag sets take turns, so each meets about 500 bounds of every residue mod 4
+        flag_sets = list(_SIEVE_FLAGS)
+        cases = [(bound, flag_sets[bound // 4 % 4]) for bound in range(9, 2001)]
+        self._check(sieve_primes_below(2000), cases, fmt)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_large_bounds(self, fmt):
+        cases = [(bound, flags) for bound in (10 ** 5, 10 ** 6) for flags in _SIEVE_FLAGS]
+        self._check(sieve_primes_below(10 ** 6), cases, fmt)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_counts_around_whole_chunks(self, fmt):
+        # bound p_i + 1 leaves the i primes 2..p_i, or i - 1 without 2: so
+        # one below, at and one above one and two whole chunks
+        chunk = cli.SIEVE_CHUNK
+        reference = sieve_primes_below(400_000)
+        bounds = [reference[n + d - 1] + 1 for n in (chunk, 2 * chunk) for d in (0, 1)]
+        self._check(reference, [(bound, flags) for bound in bounds for flags in _SIEVE_FLAGS], fmt)
 
 
 class TestRelationCommands:
@@ -201,6 +310,17 @@ class TestBigsearch:
         default = run_cli(capsys, "bigsearch", "--seed", "17", "--max-n", "1000")
         from_one = run_cli(capsys, "bigsearch", "--seed", "17", "--max-n", "1000", "--min-n", "1")
         assert default == from_one == (0, "", "")
+
+    def test_max_hits_zero_is_refused_as_without_it(self, capsys):
+        for argv, code in (
+            (["--seed", "13", "--max-n", "-5"], 1),
+            (["--seed", "13", "--max-n", "18", "--min-n", "0"], 1),
+            (["--seed", "7", "--min-n", "14400", "--max-n", "14410"], 2),
+        ):
+            plain = run_cli(capsys, "bigsearch", *argv)
+            assert plain[0] == code and plain[1] == "", argv
+            assert run_cli(capsys, "bigsearch", *argv, "--max-hits", "0") == plain, argv
+        assert run_cli(capsys, "bigsearch", "--seed", "13", "--max-n", "18", "--max-hits", "0") == (0, "", "")
 
     def test_negative_max_hits_exit_one(self, capsys):
         for max_hits in ("-1", "-5"):

@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,15 @@ class TestPrimesBelow:
     @pytest.mark.parametrize("bound", [9, 10, 25, 48, 100, 120, 10 ** 4, 10 ** 6])
     def test_equals_oracle_sieve(self, bound):
         assert primes_below(bound, include_two=True) == sieve_primes_below(bound)
+
+    def test_every_bound_to_4096_equals_oracle_sieve(self):
+        # each bound ends the K range at another residue: the compress
+        # range's last value must be kept exactly when it is a prime below bound
+        reference = sieve_primes_below(4096)
+        for bound in range(9, 4097):
+            expected = reference[: bisect_left(reference, bound)]
+            assert primes_below(bound) == expected, bound
+            assert primes_below(bound, include_two=False) == expected[1:], bound
 
     def test_soundness_no_admissible_composite(self):
         for bound in (9, 48, 120, 2000):
