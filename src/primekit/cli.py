@@ -395,10 +395,10 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
         if args.budget is None:
             raise ValidationError("--enumerate needs --budget")
         partition = None
-        if name == "rel2" and args.s1 and args.s2:
+        if name == "rel2" and (args.s1 is not None or args.s2 is not None):
             partition = (
-                tuple(_parse_int_list(args.s1, "s1")),
-                tuple(_parse_int_list(args.s2, "s2")),
+                tuple(_parse_int_list(_require(args, "s1"), "s1")),
+                tuple(_parse_int_list(_require(args, "s2"), "s2")),
             )
         certs = enumerate_certified(
             construction,

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 from .errors import ResourceLimitError, ValidationError
@@ -127,7 +128,7 @@ def _simple_sieve(limit: int) -> list[int]:
     for p in range(2, isqrt(limit - 1) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit, p)))
-    return [i for i in range(2, limit) if flags[i]]
+    return list(compress(range(limit), flags))
 
 
 def sieve_primes_below(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
@@ -153,7 +154,7 @@ def sieve_primes_below(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> 
                 break
             start = max(p * p, ((low + p - 1) // p) * p)
             flags[start - low :: p] = bytearray(len(range(start, high, p)))
-        primes.extend(low + i for i, f in enumerate(flags) if f)
+        primes.extend(compress(range(low, high), flags))
         low = high
     return primes
 

@@ -21,7 +21,9 @@ terms, each term a list of options (signed value, grid-key part), and a
 grid point is one option per term. Only points whose sum lies in the
 window can be accepted, so the walk finds just those, meet-in-the-middle
 (Horowitz and Sahni, 1974): it sorts the partial sums of the right half
-of the terms and bisects them for each partial sum of the left half.
+of the terms and loops over the partial sums of the left half, bisecting
+the sorted half once per left sum. relation1 puts its 2 * budget signed
+multiples on the left and its much larger power grid on the right.
 The points found are then evaluated in grid-key order, which is the
 order of the nested loops over signs, multipliers and exponents that
 define the grid, so the same grid always yields the same certificates in
@@ -33,7 +35,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product as iter_product
 from math import factorial, isqrt, prod
 from operator import itemgetter
 
@@ -489,14 +490,16 @@ def _signed(options) -> list[tuple[int, tuple]]:
     """Both signs of each (value, key) option: ((-1)**b * value, (b, key)),
     the b = 0 half first."""
     options = list(options)
-    return [(sign * value, (b, key)) for b, sign in ((0, 1), (1, -1)) for value, key in options]
+    return [(value, (0, key)) for value, key in options] + [(-value, (1, key)) for value, key in options]
 
 
-def _partial_sums(terms):
-    """(sum, keys) for every choice of one option per term."""
-    for choice in iter_product(*terms):
-        values, keys = zip(*choice)
-        yield sum(values), keys
+def _partial_sums(terms) -> list[tuple[int, tuple]]:
+    """(sum, keys) for every choice of one option per term, as a list in key
+    order: the order of itertools.product over the terms, last term fastest."""
+    sums = [(0, ())]
+    for term in terms:
+        sums = [(total + value, keys + (key,)) for total, keys in sums for value, key in term]
+    return sums
 
 
 def _walk(terms, low: int, high: int):
@@ -505,7 +508,9 @@ def _walk(terms, low: int, high: int):
     when each term lists its options in key order.
 
     Meet in the middle: the right half's partial sums are sorted once, and
-    each left partial sum a bisects them for the slice in (low - a, high - a].
+    the loop runs over the left half's partial sums a, bisecting the sorted
+    right half for the slice in (low - a, high - a]; so the smaller half
+    belongs on the left.
     """
     half = len(terms) // 2
     right = sorted(_partial_sums(terms[half:]), key=itemgetter(0))
@@ -521,22 +526,25 @@ def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponen
     """(value, params) for each relation1 point in its extended window, in
     grid order.
 
-    The terms are +-(product of large-prime powers) and +-k * lead. The
-    walk runs over the widest extended window; each hit is then held to its
-    own window, which depends on its exponents and k.
+    The terms are +-k * lead, first since there are only 2 * budget of
+    them, and +-(product of large-prime powers), 2 * (budget + 1)**slots
+    options built one prime at a time. The walk runs over the widest
+    extended window; each hit is then held to its own window, which
+    depends on its exponents and k.
     """
     if construction == RELATION1_FACTORIAL:
         lead, make = factorial(isqrt(basis.bound)), Relation1FactorialParams
     else:
         lead, make = prod(basis.small_primes), Relation1Params
     larges = large_primes(basis, exponent_slots + 1)
-    powers = _signed(
-        (prod(p ** e for p, e in zip(larges, exps)), exps)
-        for exps in iter_product(range(budget + 1), repeat=exponent_slots)
-    )
+    grid = [(1, ())]
+    for p in larges[:exponent_slots]:
+        powers_of_p = [p ** e for e in range(budget + 1)]
+        grid = [(value * pe, exps + (e,)) for value, exps in grid for e, pe in enumerate(powers_of_p)]
+    powers = _signed(grid)
     multiples = _signed((k * lead, k) for k in range(1, budget + 1))
     hits = []
-    for value, ((b2, exps), (b1, k)) in _walk([powers, multiples], basis.largest, larges[-1] ** 2 - 1):
+    for value, ((b1, k), (b2, exps)) in _walk([multiples, powers], basis.largest, larges[-1] ** 2 - 1):
         exponents = tuple((i + 1, e) for i, e in enumerate(exps) if e)
         if value <= _extended_window(basis, exponents, k)[1]:
             hits.append(((exps, b1, b2, k), value, exponents))

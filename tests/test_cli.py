@@ -203,6 +203,18 @@ class TestRelationCommands:
         values = {int(json.loads(line)["value"]) for line in out.splitlines()}
         assert {29, 31, 37, 41, 43, 47} <= values
 
+    def test_enumerate_with_s1_alone_exit_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rel2", "--bound", "120", "--enumerate", "--budget", "3", "--s1", "2,3",
+        )
+        assert code == 1 and out == "" and "missing required flag --s2" in err
+
+    def test_enumerate_with_s2_alone_exit_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rel2", "--bound", "120", "--enumerate", "--budget", "3", "--s2", "5,7",
+        )
+        assert code == 1 and out == "" and "missing required flag --s1" in err
+
     def test_negative_slots_exit_one(self, capsys):
         for name in ("rel1", "rel1f"):
             argv = [name, "--bound", "119", "--enumerate", "--budget", "3"]

@@ -5,6 +5,10 @@ budget 0..6, both relation1 forms with 1..3 exponent slots, relation2 over
 every ordered two-set partition and relation3: the certificates, their
 order and the first-in-grid-order representative of each value must be
 the same, in dedup and in multiset mode.
+
+The relation1 forms are also compared at the benchmark's shape: budget 32
+with 2 exponent slots, where the power grid has 2 * 33**2 signed options
+against 64 signed multiples.
 """
 
 from itertools import combinations
@@ -89,3 +93,18 @@ def test_engine_matches_nested_loops(construction):
         accepted += len(want)
     # the comparison is not vacuous: many grids, many certificates
     assert compared >= 40 and accepted >= 500
+
+
+# bases that accept certificates at this shape (24, 120) and the bound 960,
+# a basis whose grid holds no certificate
+@pytest.mark.parametrize("bound", [24, 120, 960])
+@pytest.mark.parametrize("construction", [RELATION1, RELATION1_FACTORIAL])
+def test_relation1_at_budget_32_with_two_slots(construction, bound):
+    basis = primes_leq_sqrt(bound)
+    assert enumeration_grid_size(construction, basis, 32, 2) == 139_392 <= REFERENCE_GRID_CAP
+    want = _enumerate_relation1(construction, basis, 32, 2)
+    multiset = enumerate_certified(construction, basis, 32, 2, verbose=True)
+    assert _json(multiset) == _json(want)
+    assert _json(enumerate_certified(construction, basis, 32, 2)) == _json(_first_per_value(want))
+    if bound == 24:
+        assert len(want) >= 30
