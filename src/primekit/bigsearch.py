@@ -31,10 +31,11 @@ import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, lcm
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
-from .oracle import is_prime, odd_prime_product, sieve_primes_below
+from .oracle import OracleVerdict, is_prime, odd_prime_product, sieve_primes_below
 from .relations import BIG_SEARCH, CandidateCertificate
 
 DEFAULT_C_DIGIT_CAP = 1_000_000
@@ -54,8 +55,9 @@ class SearchState:
 
 @dataclass(frozen=True)
 class SearchHit:
-    """One certified R = c*k - 2^n; found_at is time.perf_counter() when
-    the search found it."""
+    """One certified R = c*k - 2^n as search lists it; found_at is
+    time.perf_counter() when proven_hits proved it. The CLI streams the
+    plain tuples of proven_hits instead."""
 
     k: int
     n: int
@@ -152,20 +154,21 @@ def _expand(hit_set: list[tuple[int, int, int]], first: int, last: int) -> Itera
             yield base + offset, value
 
 
-def search(
+def proven_hits(
     state: SearchState,
     max_exponent: int,
     max_hits: int | None = None,
     min_n: int | None = None,
-) -> list[SearchHit]:
+) -> Iterator[tuple[int, int, int, OracleVerdict]]:
     """Every R = c*k - 2^n with min_n <= n <= max_exponent (min_n defaults
     to 1), oracle-checked, in (n, R) order (ascending R at one n is
-    ascending k), up to max_hits: the classes of every_hit expanded over
-    those exponents.
+    ascending k), up to max_hits, as (n, k, R, verdict): the classes of
+    every_hit expanded over those exponents. The arguments are checked at
+    the call; each hit is produced as soon as it is proven.
 
     Every hit is checked again on its own: inside the window and odd,
     prime by the oracle, coprime to c, and c*k - 2^n for an odd k; any
-    failure is an InvariantViolation.
+    failure is an InvariantViolation, raised when that hit is reached.
 
     ResourceLimitError, before any exponent is scanned, when k could pass
     Python's limit on int-to-str conversion (sys.get_int_max_str_digits()),
@@ -192,12 +195,17 @@ def search(
     if start < 1:
         raise ValidationError(f"exponent must be >= 1, got {start}")
     if max_hits == 0:
-        return []
-    hits: list[SearchHit] = []
-    for n, value in _expand(every_hit(state), start, max_exponent):
-        shift = 2 ** n
-        k = (value + shift) // state.product
-        if not state.low < value <= state.high or value % 2 == 0:
+        return iter(())
+    return _checked(state, islice(_expand(every_hit(state), start, max_exponent), max_hits))
+
+
+def _checked(state: SearchState, hits: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int, int, OracleVerdict]]:
+    """(n, k, R, verdict) for each (n, R) of hits that passes every check."""
+    product, low, high = state.product, state.low, state.high
+    for n, value in hits:
+        shift = 1 << n
+        k = (value + shift) // product
+        if not low < value <= high or value % 2 == 0:
             raise InvariantViolation(
                 f"window arithmetic produced out-of-range value {value} at n={n}, k={k}"
             )
@@ -206,24 +214,35 @@ def search(
             raise InvariantViolation(
                 f"certified search value {value} = c*{k} - 2^{n} refuted by oracle"
             )
-        if gcd(value, state.product) != 1:
+        if gcd(value, product) != 1:
             raise InvariantViolation(
                 f"search value {value} shares a factor with the odd-prime product"
             )
-        if state.product * k - shift != value or k % 2 == 0:
+        if product * k - shift != value or k % 2 == 0:
             raise InvariantViolation(
                 f"search value {value} at n={n} is not c*k - 2^n for an odd k"
             )
-        certificate = CandidateCertificate(
+        yield n, k, value, verdict
+
+
+def search(
+    state: SearchState,
+    max_exponent: int,
+    max_hits: int | None = None,
+    min_n: int | None = None,
+) -> list[SearchHit]:
+    """proven_hits as a list of SearchHit, each with its certificate."""
+    hits = proven_hits(state, max_exponent, max_hits, min_n)
+    seed, window = str(state.seed), (state.low, state.high)
+    return [
+        SearchHit(k, n, value, CandidateCertificate(
             value=value,
             construction=BIG_SEARCH,
-            params={"seed": str(state.seed), "k": str(k), "n": n},
-            window=(state.low, state.high),
+            params={"seed": seed, "k": str(k), "n": n},
+            window=window,
             accepted=True,
             verdict=verdict,
             signed_value=value,
-        )
-        hits.append(SearchHit(k=k, n=n, value=value, certificate=certificate, found_at=time.perf_counter()))
-        if max_hits is not None and len(hits) >= max_hits:
-            return hits
-    return hits
+        ), time.perf_counter())
+        for n, k, value, verdict in hits
+    ]

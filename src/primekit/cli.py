@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -27,13 +28,14 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, search
+from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, proven_hits
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .exclusion import ExclusionSpec, excluded_k, primes_below
 from .mersenne import scan_prime_zn
 from .oracle import OracleVerdict, is_prime, primes_leq_sqrt
 from .reference import relation1_report, relation2_report, relation3_report
 from .relations import (
+    BIG_SEARCH,
     DEFAULT_CANDIDATE_CAP,
     RELATION1,
     RELATION1_FACTORIAL,
@@ -65,6 +67,26 @@ _VALUE_LAYOUTS = {
     "jsonl": ("", '{{"value":"{}"}}\n', '{{"value":"{}"}}\n'),
     "csv": ("value\n", "{}\n", "{}\n"),
     "json": ("[\n", '  {{\n    "value": "{}"\n  }},\n', '  {{\n    "value": "{}"\n  }}\n]\n'),
+}
+# per format: what precedes the first hit, the line of one hit, what goes
+# between two hits, what follows the last, and the whole output when there
+# is no hit; a line's fields are {0} seed, {1} k, {2} n, {3} R, {4} R's
+# digit count, {5} the verdict as rendered for the format (_hit_verdict)
+# and {6} elapsed_ms, and it is _emit's rendering of the hit's record
+_HIT_LAYOUTS = {
+    "text": ("", "n={2} k={1} R={3} {5}\n", "", "", ""),
+    "jsonl": (
+        "",
+        '{{"seed":"{0}","k":"{1}","n":{2},"value":"{3}","digits":{4},"verdict":{5},"elapsed_ms":{6!r}}}\n',
+        "", "", "",
+    ),
+    "csv": ("seed,k,n,value,digits,verdict,elapsed_ms\n", "{0},{1},{2},{3},{4},{5},{6!r}\n", "", "", ""),
+    "json": (
+        "[\n",
+        '  {{\n    "seed": "{0}",\n    "k": "{1}",\n    "n": {2},\n    "value": "{3}",\n'
+        '    "digits": {4},\n    "verdict": {5},\n    "elapsed_ms": {6!r}\n  }}',
+        ",\n", "\n]\n", "[]\n",
+    ),
 }
 
 
@@ -209,17 +231,20 @@ def _parse_parity(text: str | None, name: str) -> Parity:
     return Parity.parse(text)
 
 
-def _log_entry(item: Item) -> dict:
-    value = str(item.value)
-    return {
+def _write_log(log_file, construction: str, params: dict, value: int, verdict: OracleVerdict) -> None:
+    """Append one record's log entry to log_file and flush it."""
+    text = str(value)
+    entry = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "construction": item.construction,
-        "params": item.params,
-        "value": value,
-        "digits": len(value),
-        "verdict": item.verdict.to_json_dict(),
+        "construction": construction,
+        "params": params,
+        "value": text,
+        "digits": len(text),
+        "verdict": verdict.to_json_dict(),
         "tool_version": __version__,
     }
+    log_file.write(json.dumps(entry, separators=(",", ":")) + "\n")
+    log_file.flush()
 
 
 def _certificate_item(cert) -> Item:
@@ -235,8 +260,7 @@ def _emit(items: list[Item], cfg: RunConfig) -> None:
 
     def write_log(item: Item) -> None:
         if log_file and item.construction is not None:
-            log_file.write(json.dumps(_log_entry(item), separators=(",", ":")) + "\n")
-            log_file.flush()
+            _write_log(log_file, item.construction, item.params, item.value, item.verdict)
 
     try:
         if cfg.format == "json":
@@ -458,25 +482,50 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _hit_verdict(verdict: OracleVerdict, fmt: str) -> str:
+    """verdict as _emit renders it in a bigsearch record in fmt."""
+    if fmt == "text":
+        return verdict.status
+    if fmt == "json":  # nested two levels deep in the indented array
+        return json.dumps(verdict.to_json_dict(), indent=2).replace("\n", "\n    ")
+    compact = json.dumps(verdict.to_json_dict(), separators=(",", ":"))
+    if fmt == "jsonl":
+        return compact
+    cell = io.StringIO()
+    csv.writer(cell, lineterminator="").writerow([compact])
+    return cell.getvalue()
+
+
 def _cmd_bigsearch(args, cfg: RunConfig) -> int:
+    """Write each hit as proven_hits proves it, from one line template per
+    format, byte for byte as _emit writes the hit's record (a refuted hit
+    stops the run with the hits before it written). elapsed_ms is the time
+    from the start of the search to the hit."""
     state = build_state(args.seed, c_digit_cap=cfg.seed_cap_digits)
     began = time.perf_counter()
-    hits = search(state, args.max_n, max_hits=args.max_hits, min_n=args.min_n)
-    items = []
-    for hit in hits:
-        params = hit.certificate.params  # seed, k and n, k already in decimal
-        value = str(hit.value)
-        verdict = hit.certificate.verdict
-        record = {
-            **params,
-            "value": value,
-            "digits": len(value),
-            "verdict": verdict.to_json_dict(),
-            "elapsed_ms": round((hit.found_at - began) * 1000.0, 3),
-        }
-        text = f"n={hit.n} k={params['k']} R={value} {verdict.status}"
-        items.append(Item(record, text, "big-search", params, hit.value, verdict))
-    _emit(items, cfg)
+    hits = proven_hits(state, args.max_n, max_hits=args.max_hits, min_n=args.min_n)
+    head, line, between, tail, empty = _HIT_LAYOUTS[cfg.format]
+    seed = str(state.seed)
+    verdicts: dict[tuple, str] = {}  # (status, method, witness): its rendering in cfg.format
+    write = sys.stdout.write
+    log_file = open(cfg.log_path, "a", encoding="utf-8") if cfg.log_path else None
+    try:
+        found = False
+        for n, k, value, verdict in hits:
+            ms = round((time.perf_counter() - began) * 1000.0, 3)
+            key = (verdict.status, verdict.method, verdict.witness)
+            if key not in verdicts:
+                verdicts[key] = _hit_verdict(verdict, cfg.format)
+            k, text = str(k), str(value)
+            write(between if found else head)
+            write(line.format(seed, k, n, text, len(text), verdicts[key], ms))
+            found = True
+            if log_file:
+                _write_log(log_file, BIG_SEARCH, {"seed": seed, "k": k, "n": n}, value, verdict)
+        write(tail if found else empty)
+    finally:
+        if log_file:
+            log_file.close()
     return 0
 
 

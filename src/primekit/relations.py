@@ -150,6 +150,16 @@ class Relation1FactorialParams:
         }
 
 
+def _check_partition(basis: PrimeBasis, group1: tuple[int, ...], group2: tuple[int, ...]) -> None:
+    """ValidationError unless the two groups split the basis primes."""
+    if not group1 or not group2:
+        raise ValidationError("both groups must be nonempty")
+    if set(group1) & set(group2):
+        raise ValidationError("groups must be disjoint")
+    if set(group1) | set(group2) != set(basis.small_primes):
+        raise ValidationError("groups must cover exactly the basis primes")
+
+
 @dataclass(frozen=True)
 class Relation2Params:
     """Two-set split of the basis: R = +-P1*k1 +- P2*k2 +- P1*P2*k3.
@@ -172,12 +182,7 @@ class Relation2Params:
         g1, g2 = tuple(sorted(self.group1)), tuple(sorted(self.group2))
         object.__setattr__(self, "group1", g1)
         object.__setattr__(self, "group2", g2)
-        if not g1 or not g2:
-            raise ValidationError("both groups must be nonempty")
-        if set(g1) & set(g2):
-            raise ValidationError("groups must be disjoint")
-        if set(g1) | set(g2) != set(self.basis.small_primes):
-            raise ValidationError("groups must cover exactly the basis primes")
+        _check_partition(self.basis, g1, g2)
         if self.k1 < 1 or self.k2 < 1:
             raise ValidationError("k1 and k2 must be >= 1")
         if self.k3 < 0:
@@ -455,7 +460,12 @@ def enumerate_certified(
     they can only reject. Returns accepted certificates deduplicated by
     value in ascending order, or the full accepted multiset in grid order
     when verbose is set.
+
+    A given partition is checked before anything is walked, so a bad one
+    is refused whether or not a grid point lands in the window.
     """
+    if partition is not None:
+        _check_partition(basis, *partition)
     size = enumeration_grid_size(construction, basis, budget, exponent_slots, partition)
     if size > candidate_cap:
         raise ResourceLimitError(

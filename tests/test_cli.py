@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from bisect import bisect_left
 from pathlib import Path
 
@@ -215,6 +217,15 @@ class TestRelationCommands:
         )
         assert code == 1 and out == "" and "missing required flag --s1" in err
 
+    @pytest.mark.parametrize("bound", ["48", "10000"])
+    def test_enumerate_with_a_partial_split_exit_one(self, capsys, bound):
+        # 2 and 3 leave basis primes out; at 48 a grid point lands in the
+        # window and at 10000 none does, and the split is refused either way
+        code, out, err = run_cli(
+            capsys, "rel2", "--bound", bound, "--enumerate", "--budget", "3", "--s1", "2", "--s2", "3",
+        )
+        assert code == 1 and out == "" and "groups must cover exactly the basis primes" in err
+
     def test_negative_slots_exit_one(self, capsys):
         for name in ("rel1", "rel1f"):
             argv = [name, "--bound", "119", "--enumerate", "--budget", "3"]
@@ -368,6 +379,121 @@ class TestBigsearch:
         code, out, err = run_cli(capsys, "bigsearch", "--seed", "7", "--min-n", "14400", "--max-n", "14410")
         assert code == 2 and out == ""
         assert "resource error" in err and "get_int_max_str_digits" in err
+
+
+# elapsed_ms in json and jsonl, or as the last csv cell; a log's timestamp
+_ELAPSED = re.compile(r'("elapsed_ms": ?)[-+.e0-9]+|(?<=,)[-+.e0-9]+$', re.M)
+_TIMESTAMP = re.compile(r'("timestamp":)"[^"]*"')
+
+
+def _masked(text, pattern=_ELAPSED):
+    """text with every timing value replaced by X, and how many there were."""
+    return pattern.subn(r"\1X", text)
+
+
+class TestBigsearchWriter:
+    """Streamed bigsearch output against _emit writing one Item per hit of
+    search's list, which is how bigsearch was written before it streamed."""
+
+    @staticmethod
+    def _emitted(seed, max_n, min_n, max_hits, fmt, log=None):
+        state = bigsearch.build_state(seed)
+        began = time.perf_counter()
+        items = []
+        for hit in bigsearch.search(state, max_n, max_hits=max_hits, min_n=min_n):
+            params = hit.certificate.params
+            value = str(hit.value)
+            verdict = hit.certificate.verdict
+            record = {
+                **params,
+                "value": value,
+                "digits": len(value),
+                "verdict": verdict.to_json_dict(),
+                "elapsed_ms": round((hit.found_at - began) * 1000.0, 3),
+            }
+            text = f"n={hit.n} k={params['k']} R={value} {verdict.status}"
+            items.append(cli.Item(record, text, "big-search", params, hit.value, verdict))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(items, cli.RunConfig(fmt, log, 1, 1, 1, False))
+        return out.getvalue(), len(items)
+
+    @staticmethod
+    def _streamed(seed, max_n, min_n, max_hits, fmt, log=None):
+        argv = ["bigsearch", "--seed", str(seed), "--max-n", str(max_n), "--format", fmt]
+        for flag, value in (("--min-n", min_n), ("--max-hits", max_hits), ("--log", log)):
+            if value is not None:
+                argv += [flag, str(value)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+        return out.getvalue()
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("seed", [5, 7, 11, 13, 17])
+    def test_matches_the_per_record_rendering(self, fmt, seed):
+        for min_n in (None, 7):
+            for max_hits in (None, 0, 1, 5):
+                want, hits = self._emitted(seed, 150, min_n, max_hits, fmt)
+                got = self._streamed(seed, 150, min_n, max_hits, fmt)
+                masked, timings = _masked(got)
+                assert masked == _masked(want)[0], (min_n, max_hits)
+                assert timings == (0 if fmt == "text" else hits), (min_n, max_hits)
+                assert (hits > 0) == (seed <= 13 and max_hits != 0), (min_n, max_hits)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_log_matches_the_per_record_log(self, fmt, tmp_path):
+        want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        _, hits = self._emitted(13, 200, None, None, fmt, log=str(want))
+        self._streamed(13, 200, None, None, fmt, log=str(got))
+        masked, stamps = _masked(got.read_text(), _TIMESTAMP)
+        assert masked == _masked(want.read_text(), _TIMESTAMP)[0]
+        assert stamps == hits == 20
+
+    def test_oracle_called_once_per_hit(self, monkeypatch):
+        values = []
+        real = bigsearch.is_prime
+        monkeypatch.setattr(bigsearch, "is_prime", lambda x: values.append(x) or real(x))
+        out = self._streamed(7, 300, None, None, "text")
+        # the seed, then each printed R in order
+        assert values == [7] + [int(line.split("R=")[1].split()[0]) for line in out.splitlines()]
+        assert len(values) == 451
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--seed", "9", "--max-n", "10"], 1),  # composite
+            (["--seed", "3", "--max-n", "10"], 1),  # below 5
+            (["--seed", "13", "--max-n", "18", "--max-hits", "-1"], 1),
+            (["--seed", "13", "--min-n", "19", "--max-n", "18"], 1),
+            (["--seed", "7", "--min-n", "14400", "--max-n", "14410"], 2),  # k past the int-to-str limit
+        ],
+    )
+    def test_refusals_write_nothing(self, capsys, fmt, argv, code):
+        got, out, err = run_cli(capsys, "bigsearch", *argv, "--format", fmt)
+        assert got == code and out == "" and err
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_refuted_third_hit_keeps_the_first_two(self, capsys, monkeypatch, fmt):
+        # seed 5's first three hits are 7, 13 and 19, all at n = 1
+        real = bigsearch.is_prime
+        seen = []
+
+        def oracle(x):
+            seen.append(x)
+            return OracleVerdict(x, "proven-composite", "sieve-lookup", None) if len(seen) == 4 else real(x)
+
+        monkeypatch.setattr(bigsearch, "is_prime", oracle)
+        code, out, err = run_cli(capsys, "bigsearch", "--seed", "5", "--max-n", "10", "--format", fmt)
+        assert code == 3 and seen == [5, 7, 13, 19]
+        assert err.startswith("INVARIANT VIOLATION") and "certified search value 19 " in err
+        monkeypatch.setattr(bigsearch, "is_prime", real)
+        first_two, _ = self._emitted(5, 10, None, 2, fmt)
+        if fmt == "json":
+            first_two = first_two.removesuffix("\n]\n")
+        assert _masked(out)[0] == _masked(first_two)[0]
+        assert "19" not in _masked(out)[0]
 
 
 class TestLogAndVerify:
