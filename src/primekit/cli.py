@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, proven_hits
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
-from .exclusion import ExclusionSpec, excluded_k, primes_below
+from .exclusion import ExclusionSpec, excluded_k, prime_spans
 from .mersenne import scan_prime_zn
 from .oracle import OracleVerdict, is_prime, primes_leq_sqrt
 from .reference import relation1_report, relation2_report, relation3_report
@@ -55,10 +55,6 @@ from .relations import (
 
 ENV_PREFIX = "PRIMEKIT_"
 FORMATS = ("text", "json", "csv", "jsonl")
-# values rendered per write: from values of four digits up, 2048 lines fill
-# at least one 8 KiB block of a buffered stdout; a larger chunk only holds
-# the first block back
-SIEVE_CHUNK = 1 << 11
 # per format: what precedes the values, the line of every value but the
 # last, and the line of the last (json closes its array there); each line
 # is _emit's rendering of the record {"value": str(v)}
@@ -294,34 +290,36 @@ def _emit(items: list[Item], cfg: RunConfig) -> None:
             log_file.close()
 
 
-def _write_values(values: list[int], fmt: str) -> None:
-    """Write `values` (never empty) in `fmt`, byte for byte as _emit writes
-    one Item({"value": str(v)}, str(v)) per value: SIEVE_CHUNK lines per
-    write, each chunk rendered by one format call."""
-    head, line, last = _VALUE_LAYOUTS[fmt]
-    write = sys.stdout.write
-    write(head)
-    end = len(values) - 1
-    for start in range(0, end, SIEVE_CHUNK):
-        chunk = values[start : min(start + SIEVE_CHUNK, end)]
-        write((line * len(chunk)).format(*chunk))
-    write(last.format(values[end]))
-
-
 def _cmd_sieve(args, cfg: RunConfig) -> int:
     include_two = bool(args.include_two) or not cfg.paper_faithful
     if args.show_exclusions:
         spec = ExclusionSpec.for_bound(args.bound)
+        struck = spec.struck_count()
+        if struck > cfg.candidate_cap:
+            raise ResourceLimitError(
+                f"--show-exclusions would list {struck} struck K values, over the candidate cap {cfg.candidate_cap}"
+            )
         items = []
         for i, (prime, _, _) in enumerate(spec.per_prime_windows):
             ks = [str(k) for k in excluded_k(spec, i)]
             items.append(Item({"prime": str(prime), "excluded": ks}, f"C={prime}: {','.join(ks)}"))
         _emit(items, cfg)
         return 0
-    primes = primes_below(args.bound, include_two=include_two)  # a bound >= 9 keeps 3, 5 and 7
+    spans = prime_spans(args.bound, include_two=include_two)  # a bound >= 9 keeps 3, 5 and 7
     if cfg.log_path:  # the sieve logs no record, but --log creates the file as for every command
         open(cfg.log_path, "a", encoding="utf-8").close()
-    _write_values(primes, cfg.format)
+    # each span is written as it comes, byte for byte as _emit writes one
+    # Item({"value": str(v)}, str(v)) per value; the last value seen is held
+    # back, because json closes its array on the last line
+    head, line, last = _VALUE_LAYOUTS[cfg.format]
+    write = sys.stdout.write
+    write(head)
+    held = []
+    for span in spans:
+        if span:
+            write((line * (len(held) + len(span) - 1)).format(*held, *span))
+            held = span[-1:]
+    write(last.format(*held))
     return 0
 
 

@@ -65,6 +65,22 @@ class TestSieve:
         )
         assert code == 2 and out == "" and "dense-sieve cap" in err
 
+    def test_show_exclusions_candidate_cap_refuses_before_building(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("built past the candidate cap")
+
+        monkeypatch.setattr(cli, "excluded_k", never)
+        # bound 3e6 strikes 2,554,683 K values, past the default cap of 2e6
+        for argv in (["--bound", "3000000"], ["--bound", "120", "--candidate-cap", "34"]):
+            for fmt in cli.FORMATS:
+                code, out, err = run_cli(capsys, "sieve", *argv, "--show-exclusions", "--format", fmt)
+                assert code == 2 and out == "" and "candidate cap" in err, (argv, fmt)
+
+    def test_show_exclusions_at_the_candidate_cap(self, capsys):
+        # 19 + 10 + 6 struck K values at bound 120
+        code, out, _ = run_cli(capsys, "sieve", "--bound", "120", "--show-exclusions", "--candidate-cap", "35")
+        assert code == 0 and len(out.splitlines()) == 3
+
     def test_log_file_is_created_and_nothing_appended(self, capsys, tmp_path):
         fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
         kept.write_text("earlier line\n")
@@ -99,7 +115,7 @@ _SIEVE_FLAGS = {
 
 
 class TestSieveWriter:
-    """The chunked sieve writer against _emit writing one Item per prime,
+    """The streamed sieve writer against _emit writing one Item per prime,
     which is how every sieve was written before and how the other commands
     still write."""
 
@@ -145,12 +161,40 @@ class TestSieveWriter:
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_counts_around_whole_chunks(self, fmt):
-        # bound p_i + 1 leaves the i primes 2..p_i, or i - 1 without 2: so
-        # one below, at and one above one and two whole chunks
-        chunk = cli.SIEVE_CHUNK
-        reference = sieve_primes_below(400_000)
-        bounds = [reference[n + d - 1] + 1 for n in (chunk, 2 * chunk) for d in (0, 1)]
+        # the last K, (bound - 2) // 2, one below, at and one above the end
+        # of one and of two whole spans, with either parity of the bound; a
+        # last span of one composite K yields no prime
+        span = exclusion.SPAN
+        last_ks = [n * span - 1 + d for n in (1, 2) for d in (-1, 0, 1)]
+        bounds = [2 * k + 2 + odd for k in last_ks for odd in (0, 1)]
+        reference = sieve_primes_below(max(bounds))
         self._check(reference, [(bound, flags) for bound in bounds for flags in _SIEVE_FLAGS], fmt)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_writes_each_span_as_it_comes(self, fmt, monkeypatch):
+        # stdout as it stands each time the engine hands over a span: the
+        # first values are written before the last span is built
+        out = io.StringIO()
+        seen = []
+        spans = exclusion.prime_spans
+
+        def watched(bound, include_two):
+            for span in spans(bound, include_two=include_two):
+                seen.append(out.getvalue())
+                yield span
+
+        monkeypatch.setattr(cli, "prime_spans", watched)
+        with contextlib.redirect_stdout(out):
+            assert run(["sieve", "--bound", "200000", "--format", fmt]) == 0
+        assert len(seen) == -(-100_000 // exclusion.SPAN)
+        assert self._emitted(sieve_primes_below(200_000), fmt) == out.getvalue()
+        head = cli._VALUE_LAYOUTS[fmt][0]
+        assert seen[0] == head
+        assert len(seen[1]) > len(head) and seen[-1].startswith(seen[1])
+        assert out.getvalue().startswith(seen[-1])
+        if fmt == "text":  # every value of the spans before, but the one held back
+            below = [p for p in sieve_primes_below(200_000) if p < 2 * (len(seen) - 1) * exclusion.SPAN]
+            assert seen[-1].split() == [str(p) for p in below[:-1]]
 
 
 class TestRelationCommands:

@@ -6,8 +6,10 @@ import pytest
 from helpers import slow_is_prime, slow_primes_below
 from primekit.errors import ValidationError
 from primekit.exclusion import (
+    SPAN,
     ExclusionSpec,
     excluded_k,
+    prime_spans,
     primes_below,
     primes_below_next_square,
 )
@@ -84,6 +86,32 @@ class TestPrimesBelow:
             assert primes_below(bound) == expected, bound
             assert primes_below(bound, include_two=False) == expected[1:], bound
 
+    def test_equals_oracle_sieve_around_span_edges(self):
+        # the last K, (bound - 2) // 2, one below, at and one above the end
+        # of one, two and three whole spans, with either parity of the bound
+        last_ks = [n * SPAN - 1 + d for n in (1, 2, 3) for d in (-1, 0, 1)]
+        bounds = [2 * k + 2 + odd for k in last_ks for odd in (0, 1)]
+        reference = sieve_primes_below(max(bounds))
+        for bound in bounds:
+            expected = reference[: bisect_left(reference, bound)]
+            assert primes_below(bound) == expected, bound
+            assert primes_below(bound, include_two=False) == expected[1:], bound
+
+    @pytest.mark.parametrize("bound", [9, 2 * SPAN + 1, 2 * SPAN + 2, 2 * SPAN + 3, 10 ** 5])
+    def test_spans_cover_their_k_ranges(self, bound):
+        # one list per SPAN K's, ascending, each holding exactly the primes
+        # R = 2K+1 of its K's (2 in the first)
+        spans = list(prime_spans(bound))
+        assert len(spans) == -(-((bound - 2) // 2 + 1) // SPAN)
+        reference = sieve_primes_below(bound)
+        for i, span in enumerate(spans):
+            lo, hi = 2 * i * SPAN, 2 * (i + 1) * SPAN
+            assert span == [p for p in reference if lo <= p < hi], i
+
+    def test_spans_check_the_bound_at_the_call(self):
+        with pytest.raises(ValidationError):
+            prime_spans(8)
+
     def test_soundness_no_admissible_composite(self):
         for bound in (9, 48, 120, 2000):
             for value in primes_below(bound, include_two=False):
@@ -124,6 +152,16 @@ class TestPrimesBelowNextSquare:
             basis = primes_leq_sqrt(bound)
             top = basis.next_prime ** 2 - 1
             assert primes_below_next_square(basis, True) == sieve_primes_below(top)
+
+
+class TestStruckCount:
+    @pytest.mark.parametrize("bound", [9, 25, 48, 120, 121, 997, 10 ** 4, 10 ** 5])
+    def test_equals_the_listed_k(self, bound):
+        spec = ExclusionSpec.for_bound(bound)
+        assert spec.struck_count() == sum(len(excluded_k(spec, i)) for i in range(len(spec.per_prime_windows)))
+
+    def test_bound_120(self):
+        assert ExclusionSpec.for_bound(120).struck_count() == 19 + 10 + 6
 
 
 class TestKSet:
