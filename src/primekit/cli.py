@@ -55,20 +55,22 @@ from .relations import (
 
 ENV_PREFIX = "PRIMEKIT_"
 FORMATS = ("text", "json", "csv", "jsonl")
-# per format: what precedes the values, the line of every value but the
-# last, and the line of the last (json closes its array there); each line
-# is _emit's rendering of the record {"value": str(v)}
+# A layout frames a command's pieces of output: (head, between, tail, empty)
+# is what precedes the first piece, what goes between two pieces, what
+# follows the last, and the whole output when there is no piece (_write).
+# The sieve and bigsearch render each value or hit from a line template,
+# so a 5-field layout per format is (head, line, between, tail, empty).
+# Sieve: a line renders one prime's record {"value": str(v)}.
 _VALUE_LAYOUTS = {
-    "text": ("", "{}\n", "{}\n"),
-    "jsonl": ("", '{{"value":"{}"}}\n', '{{"value":"{}"}}\n'),
-    "csv": ("value\n", "{}\n", "{}\n"),
-    "json": ("[\n", '  {{\n    "value": "{}"\n  }},\n', '  {{\n    "value": "{}"\n  }}\n]\n'),
+    "text": ("", "{}\n", "", "", ""),
+    "jsonl": ("", '{{"value":"{}"}}\n', "", "", ""),
+    "csv": ("value\n", "{}\n", "", "", ""),
+    "json": ("[\n", '  {{\n    "value": "{}"\n  }}', ",\n", "\n]\n", "[]\n"),
 }
-# per format: what precedes the first hit, the line of one hit, what goes
-# between two hits, what follows the last, and the whole output when there
-# is no hit; a line's fields are {0} seed, {1} k, {2} n, {3} R, {4} R's
+# Bigsearch: a line's fields are {0} seed, {1} k, {2} n, {3} R, {4} R's
 # digit count, {5} the verdict as rendered for the format (_hit_verdict)
-# and {6} elapsed_ms, and it is _emit's rendering of the hit's record
+# and {6} elapsed_ms, and it is the hit's record rendered as _write_records
+# renders a record
 _HIT_LAYOUTS = {
     "text": ("", "n={2} k={1} R={3} {5}\n", "", "", ""),
     "jsonl": (
@@ -94,19 +96,6 @@ class RunConfig:
     seed_cap_digits: int
     candidate_cap: int
     paper_faithful: bool
-
-
-@dataclass(slots=True)
-class Item:
-    """One output record, its text rendering and, for a value the log keeps,
-    what its log entry needs."""
-
-    record: dict
-    text: str
-    construction: str | None = None
-    params: dict | None = None
-    value: int | None = None
-    verdict: OracleVerdict | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,51 +232,66 @@ def _write_log(log_file, construction: str, params: dict, value: int, verdict: O
     log_file.flush()
 
 
-def _certificate_item(cert) -> Item:
-    record = cert.to_json_dict()
-    if cert.accepted:
-        return Item(record, str(cert.value), cert.construction, record["params"], cert.value, cert.verdict)
-    return Item(record, f"rejected ({cert.reason}): R={cert.signed_value}")
-
-
-def _emit(items: list[Item], cfg: RunConfig) -> None:
-    out = sys.stdout
+def _write(pieces, layout, cfg: RunConfig) -> None:
+    """Write each (text, logged) piece to stdout as it comes, framed by
+    layout = (head, between, tail, empty). A piece's `logged`, unless None,
+    is the (construction, params, value, verdict) of its --log entry. The
+    log file, when there is one, is opened before the first piece and
+    closed when the pieces end or raise; a raise leaves the tail unwritten."""
+    head, between, tail, empty = layout
+    write = sys.stdout.write
     log_file = open(cfg.log_path, "a", encoding="utf-8") if cfg.log_path else None
-
-    def write_log(item: Item) -> None:
-        if log_file and item.construction is not None:
-            _write_log(log_file, item.construction, item.params, item.value, item.verdict)
-
     try:
-        if cfg.format == "json":
-            out.write(json.dumps([i.record for i in items], indent=2) + "\n")
-            for item in items:
-                write_log(item)
-        elif cfg.format == "csv":
-            if items:
-                writer = csv.writer(out, lineterminator="\n")
-                fields = list(items[0].record.keys())
-                writer.writerow(fields)
-                for item in items:
-                    writer.writerow(
-                        [
-                            v if isinstance(v, (str, int, float)) and not isinstance(v, bool)
-                            else json.dumps(v, separators=(",", ":"))
-                            for v in (item.record.get(f) for f in fields)
-                        ]
-                    )
-                    write_log(item)
-        elif cfg.format == "jsonl":
-            for item in items:
-                out.write(json.dumps(item.record, separators=(",", ":")) + "\n")
-                write_log(item)
-        else:
-            for item in items:
-                out.write(item.text + "\n")
-                write_log(item)
+        first = True
+        for text, logged in pieces:
+            write(head if first else between)
+            write(text)
+            first = False
+            if logged and log_file:
+                _write_log(log_file, *logged)
+        write(empty if first else tail)
     finally:
         if log_file:
             log_file.close()
+
+
+def _csv_line(cells) -> str:
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(cells)
+    return line.getvalue()
+
+
+def _csv_cell(record: dict, key: str):
+    """A key the record lacks is an empty cell; a value that is not a plain
+    string or number (None included) is its compact JSON."""
+    if key not in record:
+        return ""
+    value = record[key]
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        return value
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _write_records(rows, cfg: RunConfig) -> None:
+    """Write (record, text, logged) rows through _write, one piece per row:
+    the text line, the record as compact JSON, a csv row, or an element of
+    an indent-2 JSON array. The csv header is the union of the records'
+    keys in first-seen order, so csv holds every row before its first write."""
+    fmt = cfg.format
+    layout = ("", "", "", "")
+    if fmt == "text":
+        pieces = ((text + "\n", logged) for _, text, logged in rows)
+    elif fmt == "jsonl":
+        pieces = ((json.dumps(record, separators=(",", ":")) + "\n", logged) for record, _, logged in rows)
+    elif fmt == "json":
+        pieces = (("  " + json.dumps(record, indent=2).replace("\n", "\n  "), logged) for record, _, logged in rows)
+        layout = ("[\n", ",\n", "\n]\n", "[]\n")
+    else:
+        rows = list(rows)
+        keys = list(dict.fromkeys(key for record, _, _ in rows for key in record))
+        pieces = ((_csv_line([_csv_cell(record, key) for key in keys]), logged) for record, _, logged in rows)
+        layout = (_csv_line(keys), "", "", "")
+    _write(pieces, layout, cfg)
 
 
 def _cmd_sieve(args, cfg: RunConfig) -> int:
@@ -299,28 +303,23 @@ def _cmd_sieve(args, cfg: RunConfig) -> int:
             raise ResourceLimitError(
                 f"--show-exclusions would list {struck} struck K values, over the candidate cap {cfg.candidate_cap}"
             )
-        items = []
-        for i, (prime, _, _) in enumerate(spec.per_prime_windows):
-            ks = [str(k) for k in excluded_k(spec, i)]
-            items.append(Item({"prime": str(prime), "excluded": ks}, f"C={prime}: {','.join(ks)}"))
-        _emit(items, cfg)
+        _write_records(_exclusion_rows(spec), cfg)
         return 0
     spans = prime_spans(args.bound, include_two=include_two)  # a bound >= 9 keeps 3, 5 and 7
-    if cfg.log_path:  # the sieve logs no record, but --log creates the file as for every command
-        open(cfg.log_path, "a", encoding="utf-8").close()
-    # each span is written as it comes, byte for byte as _emit writes one
-    # Item({"value": str(v)}, str(v)) per value; the last value seen is held
-    # back, because json closes its array on the last line
-    head, line, last = _VALUE_LAYOUTS[cfg.format]
-    write = sys.stdout.write
-    write(head)
-    held = []
-    for span in spans:
-        if span:
-            write((line * (len(held) + len(span) - 1)).format(*held, *span))
-            held = span[-1:]
-    write(last.format(*held))
+    # one piece per nonempty span, its values' lines joined by `between`;
+    # the sieve logs no record, but --log creates the file as for every command
+    head, line, between, tail, empty = _VALUE_LAYOUTS[cfg.format]
+    joined = line + between
+    pieces = (((joined * (len(span) - 1) + line).format(*span), None) for span in spans if span)
+    _write(pieces, (head, between, tail, empty), cfg)
     return 0
+
+
+def _exclusion_rows(spec: ExclusionSpec):
+    """One row per odd basis prime, its struck K values listed as it comes."""
+    for i, (prime, _, _) in enumerate(spec.per_prime_windows):
+        ks = [str(k) for k in excluded_k(spec, i)]
+        yield {"prime": str(prime), "excluded": ks}, f"C={prime}: {','.join(ks)}", None
 
 
 def _cmd_zscan(args, cfg: RunConfig) -> int:
@@ -330,26 +329,16 @@ def _cmd_zscan(args, cfg: RunConfig) -> int:
         _parse_range(args.n, "exponent"),
         skip=not args.no_skip,
     )
-    items = []
-    for r in results:
-        params = {
-            "base": str(r.params.base),
-            "step": str(r.params.step),
-            "exponent": r.params.exponent,
-        }
-        record = {
-            **params,
-            "value": str(r.value),
-            "digits": len(str(r.value)),
-            "verdict": r.verdict.to_json_dict(),
-        }
-        text = (
-            f"a={r.params.base} c={r.params.step} n={r.params.exponent} "
-            f"Z={r.value} {r.verdict.status}"
-        )
-        items.append(Item(record, text, "general-mersenne", params, r.value, r.verdict))
-    _emit(items, cfg)
+    _write_records(map(_zscan_row, results), cfg)
     return 0
+
+
+def _zscan_row(r):
+    params = {"base": str(r.params.base), "step": str(r.params.step), "exponent": r.params.exponent}
+    text = str(r.value)
+    record = {**params, "value": text, "digits": len(text), "verdict": r.verdict.to_json_dict()}
+    line = f"a={r.params.base} c={r.params.step} n={r.params.exponent} Z={text} {r.verdict.status}"
+    return record, line, ("general-mersenne", params, r.value, r.verdict)
 
 
 def _require(args, flag: str):
@@ -364,8 +353,15 @@ def _exponent_map(args) -> tuple[tuple[int, int], ...]:
     return tuple((i + 1, e) for i, e in enumerate(dense) if e)
 
 
-def _worked_example_items(reports, paper_faithful: bool) -> list[Item]:
-    items = []
+def _certificate_row(cert):
+    record = cert.to_json_dict()
+    if cert.accepted:
+        return record, str(cert.value), (cert.construction, record["params"], cert.value, cert.verdict)
+    return record, f"rejected ({cert.reason}): R={cert.signed_value}", None
+
+
+def _worked_example_rows(reports, paper_faithful: bool) -> list[tuple]:
+    rows = []
     skipped = 0
     for entry in reports:
         if paper_faithful and not entry.consistent:
@@ -383,14 +379,14 @@ def _worked_example_items(reports, paper_faithful: bool) -> list[Item]:
         marker = "" if entry.consistent else "  [erratum: printed value not reproduced]"
         text = f"column {entry.column}: printed {entry.printed_value}, computed {entry.certificate.signed_value}{marker}"
         cert = entry.certificate
-        logged = (cert.construction, cert.params.to_json_dict(), cert.value, cert.verdict) if cert.accepted else ()
-        items.append(Item(record, text, *logged))
+        logged = (cert.construction, cert.params.to_json_dict(), cert.value, cert.verdict) if cert.accepted else None
+        rows.append((record, text, logged))
     if skipped:
         print(
             f"note: {skipped} column(s) inconsistent with the defining formula omitted",
             file=sys.stderr,
         )
-    return items
+    return rows
 
 
 def _cmd_relation(args, cfg: RunConfig) -> int:
@@ -408,7 +404,7 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
             "rel2": relation2_report,
             "rel3": relation3_report,
         }[name]()
-        _emit(_worked_example_items(reports, cfg.paper_faithful), cfg)
+        _write_records(_worked_example_rows(reports, cfg.paper_faithful), cfg)
         return 0
 
     basis = primes_leq_sqrt(args.bound)
@@ -431,10 +427,7 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
             candidate_cap=cfg.candidate_cap,
             verbose=args.multiset,
         )
-        _emit([_certificate_item(c) for c in certs], cfg)
-        return 0
-
-    if name == "rel1":
+    elif name == "rel1":
         params = Relation1Params(
             basis,
             _parse_parity(args.b1, "b1"),
@@ -442,7 +435,7 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
             _require(args, "k"),
             _exponent_map(args),
         )
-        cert = eval_relation1(params)
+        certs = [eval_relation1(params)]
     elif name == "rel1f":
         params = Relation1FactorialParams(
             basis,
@@ -451,7 +444,7 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
             _require(args, "k1"),
             _exponent_map(args),
         )
-        cert = eval_relation1_factorial(params)
+        certs = [eval_relation1_factorial(params)]
     elif name == "rel2":
         params = Relation2Params(
             basis,
@@ -464,7 +457,7 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
             _require(args, "k2"),
             args.k3,
         )
-        cert = eval_relation2(params)
+        certs = [eval_relation2(params)]
     else:
         signs = [Parity.parse(tok) for tok in _require(args, "b").split(",")]
         ks = _parse_int_list(_require(args, "k"), "k")
@@ -474,56 +467,45 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
         if len(ks) == n:
             ks.append(0)
         params = Relation3Params(basis, tuple(signs), tuple(ks))
-        cert = eval_relation3(params)
+        certs = [eval_relation3(params)]
 
-    _emit([_certificate_item(cert)], cfg)
+    _write_records(map(_certificate_row, certs), cfg)
     return 0
 
 
 def _hit_verdict(verdict: OracleVerdict, fmt: str) -> str:
-    """verdict as _emit renders it in a bigsearch record in fmt."""
+    """verdict as _write_records renders it in a bigsearch record in fmt."""
     if fmt == "text":
         return verdict.status
     if fmt == "json":  # nested two levels deep in the indented array
         return json.dumps(verdict.to_json_dict(), indent=2).replace("\n", "\n    ")
     compact = json.dumps(verdict.to_json_dict(), separators=(",", ":"))
-    if fmt == "jsonl":
-        return compact
-    cell = io.StringIO()
-    csv.writer(cell, lineterminator="").writerow([compact])
-    return cell.getvalue()
+    return compact if fmt == "jsonl" else _csv_line([compact])[:-1]
 
 
 def _cmd_bigsearch(args, cfg: RunConfig) -> int:
     """Write each hit as proven_hits proves it, from one line template per
-    format, byte for byte as _emit writes the hit's record (a refuted hit
-    stops the run with the hits before it written). elapsed_ms is the time
-    from the start of the search to the hit."""
+    format, byte for byte as _write_records would write the hit's record (a
+    refuted hit stops the run with the hits before it written). elapsed_ms
+    is the time from the start of the search to the hit."""
     state = build_state(args.seed, c_digit_cap=cfg.seed_cap_digits)
     began = time.perf_counter()
     hits = proven_hits(state, args.max_n, max_hits=args.max_hits, min_n=args.min_n)
     head, line, between, tail, empty = _HIT_LAYOUTS[cfg.format]
     seed = str(state.seed)
     verdicts: dict[tuple, str] = {}  # (status, method, witness): its rendering in cfg.format
-    write = sys.stdout.write
-    log_file = open(cfg.log_path, "a", encoding="utf-8") if cfg.log_path else None
-    try:
-        found = False
+
+    def pieces():
         for n, k, value, verdict in hits:
             ms = round((time.perf_counter() - began) * 1000.0, 3)
             key = (verdict.status, verdict.method, verdict.witness)
             if key not in verdicts:
                 verdicts[key] = _hit_verdict(verdict, cfg.format)
             k, text = str(k), str(value)
-            write(between if found else head)
-            write(line.format(seed, k, n, text, len(text), verdicts[key], ms))
-            found = True
-            if log_file:
-                _write_log(log_file, BIG_SEARCH, {"seed": seed, "k": k, "n": n}, value, verdict)
-        write(tail if found else empty)
-    finally:
-        if log_file:
-            log_file.close()
+            logged = (BIG_SEARCH, {"seed": seed, "k": k, "n": n}, value, verdict) if cfg.log_path else None
+            yield line.format(seed, k, n, text, len(text), verdicts[key], ms), logged
+
+    _write(pieces(), (head, between, tail, empty), cfg)
     return 0
 
 
@@ -535,7 +517,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     if not path.exists():
         raise ValidationError(f"log file {path} does not exist")
     checked = 0
-    mismatches: list[Item] = []
+    mismatches: list[tuple] = []
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -563,24 +545,23 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                 raise ValidationError(f"log line {lineno}: {exc}") from None
             checked += 1
             if actual.is_prime != (claimed in ("proven-prime", "probable-prime")):
-                mismatches.append(
-                    Item(
-                        {
-                            "line": lineno,
-                            "value": record["value"],
-                            "claimed": claimed,
-                            "actual": actual.status,
-                            "witness": None if actual.witness is None else str(actual.witness),
-                        },
-                        f"line {lineno}: value {record['value']} claimed "
-                        f"{claimed} but oracle says {actual.status}",
-                    )
-                )
-    summary = Item(
+                mismatches.append((
+                    {
+                        "line": lineno,
+                        "value": record["value"],
+                        "claimed": claimed,
+                        "actual": actual.status,
+                        "witness": None if actual.witness is None else str(actual.witness),
+                    },
+                    f"line {lineno}: value {record['value']} claimed {claimed} but oracle says {actual.status}",
+                    None,
+                ))
+    summary = (
         {"checked": checked, "mismatches": len(mismatches)},
         f"checked {checked} record(s), {len(mismatches)} mismatch(es)",
+        None,
     )
-    _emit(mismatches + [summary], cfg)
+    _write_records(mismatches + [summary], cfg)
     return 3 if mismatches else 0
 
 

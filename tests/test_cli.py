@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -14,7 +15,18 @@ import pytest
 from helpers import slow_primes_below
 from primekit import bigsearch, cli, exclusion
 from primekit.cli import run
-from primekit.oracle import OracleVerdict, sieve_primes_below
+from primekit.mersenne import scan_prime_zn
+from primekit.oracle import OracleVerdict, is_prime, primes_leq_sqrt, sieve_primes_below
+from primekit.reference import relation1_report, relation2_report, relation3_report
+from primekit.relations import (
+    RELATION1,
+    RELATION2,
+    Parity,
+    Relation1Params,
+    enumerate_certified,
+    eval_relation1,
+)
+from reference_writer import Item, emitted
 
 
 def run_cli(capsys, *argv):
@@ -115,17 +127,13 @@ _SIEVE_FLAGS = {
 
 
 class TestSieveWriter:
-    """The streamed sieve writer against _emit writing one Item per prime,
-    which is how every sieve was written before and how the other commands
-    still write."""
+    """The streamed sieve writer against the batch reference writer with
+    one Item per prime, which is how every sieve was written before it
+    streamed."""
 
     @staticmethod
     def _emitted(primes, fmt):
-        out = io.StringIO()
-        cfg = cli.RunConfig(fmt, None, 1, 1, 1, False)
-        with contextlib.redirect_stdout(out):
-            cli._emit([cli.Item({"value": str(p)}, str(p)) for p in primes], cfg)
-        return out.getvalue()
+        return emitted([Item({"value": str(p)}, str(p)) for p in primes], fmt)
 
     @staticmethod
     def _sieved(bound, fmt, flags):
@@ -135,7 +143,7 @@ class TestSieveWriter:
         return out.getvalue()
 
     def _check(self, reference, cases, fmt):
-        """Each (bound, flags) against _emit of the primes below bound in
+        """Each (bound, flags) against the reference of the primes below bound in
         `reference`, rendered once per list."""
         expected = {}
         for bound, flags in cases:
@@ -173,7 +181,8 @@ class TestSieveWriter:
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_writes_each_span_as_it_comes(self, fmt, monkeypatch):
         # stdout as it stands each time the engine hands over a span: the
-        # first values are written before the last span is built
+        # head goes out with the first span, and every value of the spans
+        # before the last is written before the last span is built
         out = io.StringIO()
         seen = []
         spans = exclusion.prime_spans
@@ -189,12 +198,37 @@ class TestSieveWriter:
         assert len(seen) == -(-100_000 // exclusion.SPAN)
         assert self._emitted(sieve_primes_below(200_000), fmt) == out.getvalue()
         head = cli._VALUE_LAYOUTS[fmt][0]
-        assert seen[0] == head
+        assert seen[0] == ""
         assert len(seen[1]) > len(head) and seen[-1].startswith(seen[1])
         assert out.getvalue().startswith(seen[-1])
-        if fmt == "text":  # every value of the spans before, but the one held back
+        if fmt == "text":  # every value of the spans before
             below = [p for p in sieve_primes_below(200_000) if p < 2 * (len(seen) - 1) * exclusion.SPAN]
-            assert seen[-1].split() == [str(p) for p in below[:-1]]
+            assert seen[-1].split() == [str(p) for p in below]
+
+
+    @pytest.mark.parametrize("fmt", ["text", "jsonl", "json"])
+    def test_show_exclusions_writes_each_row_as_it_comes(self, fmt, monkeypatch):
+        # stdout as it stands when the struck K values of each prime are
+        # listed: the rows of the primes before are written by then (csv
+        # takes its header from every row, so it holds them all first)
+        out = io.StringIO()
+        seen = []
+        real = exclusion.excluded_k
+
+        def watched(spec, i):
+            seen.append(out.getvalue())
+            return real(spec, i)
+
+        monkeypatch.setattr(cli, "excluded_k", watched)
+        with contextlib.redirect_stdout(out):
+            assert run(["sieve", "--bound", "20000", "--show-exclusions", "--format", fmt]) == 0
+        items = _exclusion_items(20_000)
+        assert len(seen) == len(items) == 33 and seen[0] == ""  # the odd primes to 139
+        assert out.getvalue() == emitted(items, fmt) and out.getvalue().startswith(seen[-1])
+        if fmt == "json":
+            assert json.loads(seen[-1] + "\n]") == [item.record for item in items[:-1]]
+        else:
+            assert seen[-1] == emitted(items[:-1], fmt)
 
 
 class TestRelationCommands:
@@ -436,8 +470,9 @@ def _masked(text, pattern=_ELAPSED):
 
 
 class TestBigsearchWriter:
-    """Streamed bigsearch output against _emit writing one Item per hit of
-    search's list, which is how bigsearch was written before it streamed."""
+    """Streamed bigsearch output against the batch reference writer with
+    one Item per hit of search's list, which is how bigsearch was written
+    before it streamed."""
 
     @staticmethod
     def _emitted(seed, max_n, min_n, max_hits, fmt, log=None):
@@ -456,11 +491,8 @@ class TestBigsearchWriter:
                 "elapsed_ms": round((hit.found_at - began) * 1000.0, 3),
             }
             text = f"n={hit.n} k={params['k']} R={value} {verdict.status}"
-            items.append(cli.Item(record, text, "big-search", params, hit.value, verdict))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli._emit(items, cli.RunConfig(fmt, log, 1, 1, 1, False))
-        return out.getvalue(), len(items)
+            items.append(Item(record, text, "big-search", params, hit.value, verdict))
+        return emitted(items, fmt, log), len(items)
 
     @staticmethod
     def _streamed(seed, max_n, min_n, max_hits, fmt, log=None):
@@ -538,6 +570,179 @@ class TestBigsearchWriter:
             first_two = first_two.removesuffix("\n]\n")
         assert _masked(out)[0] == _masked(first_two)[0]
         assert "19" not in _masked(out)[0]
+
+
+def _certificate_item(cert):
+    record = cert.to_json_dict()
+    if cert.accepted:
+        return Item(record, str(cert.value), cert.construction, record["params"], cert.value, cert.verdict)
+    return Item(record, f"rejected ({cert.reason}): R={cert.signed_value}")
+
+
+def _zscan_items(base, step, exponent):
+    items = []
+    for r in scan_prime_zn(base, step, exponent):
+        params = {"base": str(r.params.base), "step": str(r.params.step), "exponent": r.params.exponent}
+        record = {**params, "value": str(r.value), "digits": len(str(r.value)), "verdict": r.verdict.to_json_dict()}
+        text = f"a={r.params.base} c={r.params.step} n={r.params.exponent} Z={r.value} {r.verdict.status}"
+        items.append(Item(record, text, "general-mersenne", params, r.value, r.verdict))
+    return items
+
+
+def _worked_example_items(report, paper_faithful):
+    items = []
+    for entry in report:
+        if paper_faithful and not entry.consistent:
+            continue
+        cert = entry.certificate
+        record = {
+            "column": entry.column,
+            "printed": str(entry.printed_value),
+            "computed": str(cert.signed_value),
+            "accepted": cert.accepted,
+            "consistent": entry.consistent,
+        }
+        if entry.replacement is not None:
+            record["replacement"] = entry.replacement.to_json_dict()
+        marker = "" if entry.consistent else "  [erratum: printed value not reproduced]"
+        text = f"column {entry.column}: printed {entry.printed_value}, computed {cert.signed_value}{marker}"
+        logged = (cert.construction, cert.params.to_json_dict(), cert.value, cert.verdict) if cert.accepted else ()
+        items.append(Item(record, text, *logged))
+    return items
+
+
+def _exclusion_items(bound):
+    spec = exclusion.ExclusionSpec.for_bound(bound)
+    items = []
+    for i, (prime, _, _) in enumerate(spec.per_prime_windows):
+        ks = [str(k) for k in exclusion.excluded_k(spec, i)]
+        items.append(Item({"prime": str(prime), "excluded": ks}, f"C={prime}: {','.join(ks)}"))
+    return items
+
+
+def _verify_items(log):
+    items = []
+    lines = log.read_text().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        record = json.loads(line)
+        claimed = record["verdict"]["status"]
+        actual = is_prime(int(record["value"]))
+        if actual.is_prime != (claimed in ("proven-prime", "probable-prime")):
+            record = {
+                "line": lineno,
+                "value": record["value"],
+                "claimed": claimed,
+                "actual": actual.status,
+                "witness": None if actual.witness is None else str(actual.witness),
+            }
+            text = f"line {lineno}: value {record['value']} claimed {claimed} but oracle says {actual.status}"
+            items.append(Item(record, text))
+    summary = {"checked": len(lines), "mismatches": len(items)}
+    return items + [Item(summary, f"checked {len(lines)} record(s), {len(items)} mismatch(es)")]
+
+
+_BASIS_119 = primes_leq_sqrt(119)
+
+# (argv, the items the batch writer gets for it)
+_RECORD_COMMANDS = {
+    "zscan": (["zscan", "--a", "1..3", "--c", "1..3", "--n", "2..13"], lambda: _zscan_items((1, 3), (1, 3), (2, 13))),
+    "zscan-empty": (["zscan", "--a", "2", "--c", "2", "--n", "2..3"], lambda: _zscan_items((2, 2), (2, 2), (2, 3))),
+    "enumerate": (
+        ["rel2", "--bound", "120", "--enumerate", "--budget", "3"],
+        lambda: [_certificate_item(c) for c in enumerate_certified(RELATION2, primes_leq_sqrt(120), 3)],
+    ),
+    "enumerate-multiset": (
+        ["rel1", "--bound", "119", "--enumerate", "--budget", "2", "--multiset"],
+        lambda: [_certificate_item(c) for c in enumerate_certified(RELATION1, _BASIS_119, 2, verbose=True)],
+    ),
+    "accepted": (
+        ["rel1", "--bound", "119", "--b1", "2", "--b2", "1", "--k", "1", "--m", "2"],
+        lambda: [_certificate_item(eval_relation1(Relation1Params(_BASIS_119, Parity.EVEN, Parity.ODD, 1, ((1, 2),))))],
+    ),
+    "rejected": (
+        ["rel1", "--bound", "119", "--b1", "1", "--b2", "2", "--k", "6", "--m", "2"],
+        lambda: [_certificate_item(eval_relation1(Relation1Params(_BASIS_119, Parity.ODD, Parity.EVEN, 6, ((1, 2),))))],
+    ),
+    **{
+        f"{name}-worked-examples{'-paper' if paper else ''}": (
+            [name, "--bound", "119", "--worked-examples", *(["--paper-faithful"] if paper else [])],
+            lambda report=report, paper=paper: _worked_example_items(report(), paper),
+        )
+        for name, report in (("rel1", relation1_report), ("rel2", relation2_report), ("rel3", relation3_report))
+        for paper in (False, True)
+    },
+    "show-exclusions": (["sieve", "--bound", "1000", "--show-exclusions"], lambda: _exclusion_items(1000)),
+}
+
+
+class TestRecordWriter:
+    """Every command that writes records through _write_records against the
+    batch reference writer, byte for byte in every format, with its log."""
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("case", sorted(_RECORD_COMMANDS))
+    def test_matches_the_batch_writer(self, capsys, tmp_path, case, fmt):
+        argv, items = _RECORD_COMMANDS[case]
+        want_log, got_log = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        want = emitted(items(), fmt, str(want_log))
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--log", str(got_log))
+        assert code == 0 and out == want
+        assert _masked(got_log.read_text(), _TIMESTAMP) == _masked(want_log.read_text(), _TIMESTAMP)
+
+    @staticmethod
+    def _flipped_log(capsys, tmp_path):
+        """bigsearch --seed 13 --max-n 18's log, each status flipped to proven-composite."""
+        log = tmp_path / "results.jsonl"
+        run_cli(capsys, "bigsearch", "--seed", "13", "--max-n", "18", "--log", str(log))
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        flipped = tmp_path / "flipped.jsonl"
+        for record in records:
+            record["verdict"]["status"] = "proven-composite"
+        flipped.write_text("".join(json.dumps(record) + "\n" for record in records))
+        return log, flipped
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_verify_matches_the_batch_writer(self, capsys, tmp_path, fmt):
+        good, flipped = self._flipped_log(capsys, tmp_path)
+        tampered = tmp_path / "tampered.jsonl"  # a composite value, with its witness
+        lines = good.read_text().splitlines()
+        tampered.write_text(lines[0].replace('"value":"131"', '"value":"1139"') + "\n" + lines[1] + "\n")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        for log, code in ((good, 0), (flipped, 3), (tampered, 3), (empty, 0)):
+            assert run_cli(capsys, "verify", "--log", str(log), "--format", fmt) == (
+                code, emitted(_verify_items(log), fmt), ""
+            ), log.name
+
+    def test_verify_csv_keeps_the_counts(self, capsys, tmp_path):
+        _, flipped = self._flipped_log(capsys, tmp_path)
+        code, out, _ = run_cli(capsys, "verify", "--log", str(flipped), "--format", "csv")
+        assert code == 3
+        assert out.splitlines() == [
+            "line,value,claimed,actual,witness,checked,mismatches",
+            "1,131,proven-composite,proven-prime,null,,",
+            "2,41,proven-composite,proven-prime,null,,",
+            ",,,,,2,2",
+        ]
+
+    def test_worked_examples_csv_keeps_the_replacement(self, capsys):
+        _, out, _ = run_cli(capsys, "rel1", "--bound", "119", "--worked-examples", "--format", "csv")
+        header, *rows = out.splitlines()
+        assert header == "column,printed,computed,accepted,consistent,replacement"
+        _, text, _ = run_cli(capsys, "rel1", "--bound", "119", "--worked-examples", "--format", "json")
+        records = json.loads(text)
+        assert len(rows) == len(records) == 5
+        for row, record in zip(csv.reader(rows), records):
+            assert row[-1] == (json.dumps(record["replacement"], separators=(",", ":")) if "replacement" in record else "")
+        assert sum("replacement" in record for record in records) == 2
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_malformed_line_after_mismatches_writes_nothing(self, capsys, tmp_path, fmt):
+        _, flipped = self._flipped_log(capsys, tmp_path)
+        with flipped.open("a") as fh:
+            fh.write("5\n")
+        code, out, err = run_cli(capsys, "verify", "--log", str(flipped), "--format", fmt)
+        assert code == 1 and out == "" and err.startswith("error: log line 3: ")
 
 
 class TestLogAndVerify:
