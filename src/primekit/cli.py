@@ -272,11 +272,12 @@ def _csv_cell(record: dict, key: str):
     return json.dumps(value, separators=(",", ":"))
 
 
-def _write_records(rows, cfg: RunConfig) -> None:
+def _write_records(rows, cfg: RunConfig, keys: tuple[str, ...] | None = None) -> None:
     """Write (record, text, logged) rows through _write, one piece per row:
     the text line, the record as compact JSON, a csv row, or an element of
-    an indent-2 JSON array. The csv header is the union of the records'
-    keys in first-seen order, so csv holds every row before its first write."""
+    an indent-2 JSON array. The csv header is `keys` when the caller knows
+    its rows' shape; else it is the union of the records' keys in
+    first-seen order, and csv holds every row before its first write."""
     fmt = cfg.format
     layout = ("", "", "", "")
     if fmt == "text":
@@ -287,8 +288,9 @@ def _write_records(rows, cfg: RunConfig) -> None:
         pieces = (("  " + json.dumps(record, indent=2).replace("\n", "\n  "), logged) for record, _, logged in rows)
         layout = ("[\n", ",\n", "\n]\n", "[]\n")
     else:
-        rows = list(rows)
-        keys = list(dict.fromkeys(key for record, _, _ in rows for key in record))
+        if keys is None:
+            rows = list(rows)
+            keys = list(dict.fromkeys(key for record, _, _ in rows for key in record))
         pieces = ((_csv_line([_csv_cell(record, key) for key in keys]), logged) for record, _, logged in rows)
         layout = (_csv_line(keys), "", "", "")
     _write(pieces, layout, cfg)
@@ -303,7 +305,7 @@ def _cmd_sieve(args, cfg: RunConfig) -> int:
             raise ResourceLimitError(
                 f"--show-exclusions would list {struck} struck K values, over the candidate cap {cfg.candidate_cap}"
             )
-        _write_records(_exclusion_rows(spec), cfg)
+        _write_records(_exclusion_rows(spec), cfg, ("prime", "excluded"))
         return 0
     spans = prime_spans(args.bound, include_two=include_two)  # a bound >= 9 keeps 3, 5 and 7
     # one piece per nonempty span, its values' lines joined by `between`;

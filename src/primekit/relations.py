@@ -17,17 +17,20 @@ Shapes:
                            plus +-(full product)*k_last
 
 Enumeration walks one engine for every shape. Each shape is a list of
-terms, each term a list of options (signed value, grid-key part), and a
-grid point is one option per term. Only points whose sum lies in the
-window can be accepted, so the walk finds just those, meet-in-the-middle
-(Horowitz and Sahni, 1974): it sorts the partial sums of the right half
-of the terms and loops over the partial sums of the left half, bisecting
-the sorted half once per left sum. relation1 puts its 2 * budget signed
-multiples on the left and its much larger power grid on the right.
-The points found are then evaluated in grid-key order, which is the
-order of the nested loops over signs, multipliers and exponents that
-define the grid, so the same grid always yields the same certificates in
-the same order.
+terms, each term a list of signed ints: its values with the + sign, then
+with the - sign, each half in the order of its grid keys (multipliers or
+exponents). A grid point is one option per term. Only points whose sum
+lies in the window can be accepted, so the walk finds just those,
+meet-in-the-middle (Horowitz and Sahni, 1974): it builds the partial sums
+of each half of the terms as plain ints, sorts the right half's once
+through an index permutation, and loops over the left half's sums,
+bisecting the sorted half once per left sum. relation1 puts its
+2 * budget signed multiples on the left and its much larger power grid on
+the right. Signs and keys are read back from the option indices only for
+the points in the window, and those are evaluated in grid-key order, which
+is the order of the nested loops over signs, multipliers and exponents
+that define the grid, so the same grid always yields the same
+certificates in the same order.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import factorial, isqrt, prod
-from operator import itemgetter
+from operator import ge
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .oracle import PROVEN_COMPOSITE, OracleVerdict, PrimeBasis, is_prime, large_primes
@@ -333,6 +338,16 @@ def _extended_window(basis: PrimeBasis, exponents: tuple[tuple[int, int], ...], 
     return low, larges[effective - 1] ** 2 - 1
 
 
+@lru_cache(maxsize=1024)
+def _products(primes: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The product P of `primes` and its cofactors P/p in the same order.
+
+    Cached: every evaluation of a grid walk's hits asks again for the
+    same basis or group."""
+    full = prod(primes)
+    return full, tuple(full // p for p in primes)
+
+
 def _power_product(basis: PrimeBasis, exponents: tuple[tuple[int, int], ...]) -> int:
     if not exponents:
         return 1
@@ -342,7 +357,7 @@ def _power_product(basis: PrimeBasis, exponents: tuple[tuple[int, int], ...]) ->
 
 
 def eval_relation1(params: Relation1Params) -> CandidateCertificate:
-    small = prod(params.basis.small_primes)
+    small = _products(params.basis.small_primes)[0]
     power = _power_product(params.basis, params.large_exponents)
     value = params.sign_small.sign * params.multiplier * small + params.sign_large.sign * power
     window = _extended_window(params.basis, params.large_exponents, params.multiplier)
@@ -367,7 +382,7 @@ def _relation2_constraint_reason(params: Relation2Params) -> str | None:
 
 
 def eval_relation2(params: Relation2Params, check_constraints: bool = True) -> CandidateCertificate:
-    p1, p2 = prod(params.group1), prod(params.group2)
+    p1, p2 = _products(params.group1)[0], _products(params.group2)[0]
     value = (
         params.sign1.sign * p1 * params.k1
         + params.sign2.sign * p2 * params.k2
@@ -388,12 +403,10 @@ def _relation3_constraint_reason(params: Relation3Params) -> str | None:
 
 
 def eval_relation3(params: Relation3Params, check_constraints: bool = True) -> CandidateCertificate:
-    primes = params.basis.small_primes
-    full = prod(primes)
+    full, cofactors = _products(params.basis.small_primes)
     value = 0
-    for i, prime in enumerate(primes):
-        value += params.signs[i].sign * (full // prime) * params.multipliers[i]
-    value += params.signs[-1].sign * full * params.multipliers[-1]
+    for sign, cofactor, k in zip(params.signs, cofactors + (full,), params.multipliers):
+        value += sign.sign * cofactor * k
     reason = _relation3_constraint_reason(params) if check_constraints else None
     return _judge(
         value, RELATION3, params, certificate_window(params.basis), reason,
@@ -496,40 +509,51 @@ def enumerate_certified(
     return [best[v] for v in sorted(best)]
 
 
-def _signed(options) -> list[tuple[int, tuple]]:
-    """Both signs of each (value, key) option: ((-1)**b * value, (b, key)),
-    the b = 0 half first."""
-    options = list(options)
-    return [(value, (0, key)) for value, key in options] + [(-value, (1, key)) for value, key in options]
+def _signed(values: list[int]) -> list[int]:
+    """A term's options: each value with the + sign, then each with the -
+    sign, so option i has parity i // len(values) and choice i % len(values)."""
+    return values + [-value for value in values]
 
 
-def _partial_sums(terms) -> list[tuple[int, tuple]]:
-    """(sum, keys) for every choice of one option per term, as a list in key
-    order: the order of itertools.product over the terms, last term fastest."""
-    sums = [(0, ())]
+def _choice_table(ks) -> list[tuple[Parity, int]]:
+    """(parity, k) of each option of the term _signed builds from ks."""
+    return [(parity, k) for parity in (Parity.EVEN, Parity.ODD) for k in ks]
+
+
+def _sums(terms) -> list[int]:
+    """The sum of every choice of one option per term, in the order of
+    itertools.product over the terms, last term fastest."""
+    sums = [0]
     for term in terms:
-        sums = [(total + value, keys + (key,)) for total, keys in sums for value, key in term]
+        # the sums of [0] and a term are the term's values, uncopied
+        sums = term if sums == [0] else [total + value for total in sums for value in term]
     return sums
 
 
 def _walk(terms, low: int, high: int):
     """Every choice of one option per term whose values sum into (low, high],
-    as (sum, keys) with one key per term, in ascending order of the keys
-    when each term lists its options in key order.
+    as (sum, option indices), in ascending order of the indices.
 
-    Meet in the middle: the right half's partial sums are sorted once, and
-    the loop runs over the left half's partial sums a, bisecting the sorted
-    right half for the slice in (low - a, high - a]; so the smaller half
-    belongs on the left.
+    Meet in the middle: the right half's sums are sorted once through an
+    index permutation, and the loop runs over the left half's sums a,
+    bisecting the sorted right half for the slice in (low - a, high - a];
+    so the smaller half belongs on the left. The index tuples are built
+    only once a slice is nonempty.
     """
-    half = len(terms) // 2
-    right = sorted(_partial_sums(terms[half:]), key=itemgetter(0))
-    right_sums = [total for total, _ in right]
-    for a, keys in _partial_sums(terms[:half]):
-        first = bisect_right(right_sums, low - a)
-        last = bisect_right(right_sums, high - a)
-        for total, more in sorted(right[first:last], key=itemgetter(1)):
-            yield a + total, keys + more
+    left, right = terms[: len(terms) // 2], terms[len(terms) // 2 :]
+    sums = _sums(right)
+    order = sorted(range(len(sums)), key=sums.__getitem__)
+    ordered = list(map(sums.__getitem__, order))
+    indices = None
+    for i, a in enumerate(_sums(left)):
+        first = bisect_right(ordered, low - a)
+        last = bisect_right(ordered, high - a)
+        if first == last:
+            continue
+        if indices is None:
+            indices = [list(product(*map(range, map(len, side)))) for side in (left, right)]
+        for j in sorted(order[first:last]):
+            yield a + sums[j], indices[0][i] + indices[1][j]
 
 
 def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponent_slots: int):
@@ -538,63 +562,69 @@ def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponen
 
     The terms are +-k * lead, first since there are only 2 * budget of
     them, and +-(product of large-prime powers), 2 * (budget + 1)**slots
-    options built one prime at a time. The walk runs over the widest
-    extended window; each hit is then held to its own window, which
-    depends on its exponents and k.
+    options built one prime at a time, the exponent of the last prime
+    fastest. The walk runs over the widest extended window; each hit is
+    then held to its own window, which depends on its exponents and k.
     """
     if construction == RELATION1_FACTORIAL:
         lead, make = factorial(isqrt(basis.bound)), Relation1FactorialParams
     else:
-        lead, make = prod(basis.small_primes), Relation1Params
+        lead, make = _products(basis.small_primes)[0], Relation1Params
     larges = large_primes(basis, exponent_slots + 1)
-    grid = [(1, ())]
+    grid = [1]
     for p in larges[:exponent_slots]:
         powers_of_p = [p ** e for e in range(budget + 1)]
-        grid = [(value * pe, exps + (e,)) for value, exps in grid for e, pe in enumerate(powers_of_p)]
-    powers = _signed(grid)
-    multiples = _signed((k * lead, k) for k in range(1, budget + 1))
-    hits = []
-    for value, ((b1, k), (b2, exps)) in _walk([multiples, powers], basis.largest, larges[-1] ** 2 - 1):
-        exponents = tuple((i + 1, e) for i, e in enumerate(exps) if e)
-        if value <= _extended_window(basis, exponents, k)[1]:
-            hits.append(((exps, b1, b2, k), value, exponents))
+        grid = [value * pe for value in grid for pe in powers_of_p]
+    multiples = [k * lead for k in range(1, budget + 1)]
+    hits, table = [], None
+    for value, (i, j) in _walk([_signed(multiples), _signed(grid)], basis.largest, larges[-1] ** 2 - 1):
+        (b1, k), (b2, g) = divmod(i, budget), divmod(j, len(grid))
+        table = table or list(product(range(budget + 1), repeat=exponent_slots))
+        exponents = tuple((n + 1, e) for n, e in enumerate(table[g]) if e)
+        if value <= _extended_window(basis, exponents, k + 1)[1]:
+            hits.append(((g, b1, b2, k), value, exponents))
     for (_, b1, b2, k), value, exponents in sorted(hits):
-        yield value, make(basis, Parity.from_int(b1), Parity.from_int(b2), k, exponents)
+        yield value, make(basis, Parity.from_int(b1), Parity.from_int(b2), k + 1, exponents)
 
 
 def _relation2_points(
     basis: PrimeBasis, budget: int, partition: tuple[tuple[int, ...], tuple[int, ...]] | None
 ):
     """(value, params) for each relation2 point in the window, in grid
-    order; the terms are +-P1*k1, +-P2*k2 and +-P1*P2*k3."""
+    order (the three signs, then the three multipliers); the terms are
+    +-P1*k1, +-P2*k2 and +-P1*P2*k3."""
     group1, group2 = partition or default_partition(basis)
-    p1, p2 = prod(group1), prod(group2)
-    terms = [
-        _signed((p1 * k, k) for k in _coprime_multipliers(budget, group2)),
-        _signed((p2 * k, k) for k in _coprime_multipliers(budget, group1)),
-        _signed((p1 * p2 * k, k) for k in range(budget + 1)),
-    ]
-    hits = sorted(
-        ((b1, b2, b3, k1, k2, k3), value)
-        for value, ((b1, k1), (b2, k2), (b3, k3)) in _walk(terms, *certificate_window(basis))
+    p1, p2 = _products(group1)[0], _products(group2)[0]
+    choices = (
+        _coprime_multipliers(budget, group2),
+        _coprime_multipliers(budget, group1),
+        range(budget + 1),
     )
-    for (b1, b2, b3, k1, k2, k3), value in hits:
-        signs = map(Parity.from_int, (b1, b2, b3))
-        yield value, Relation2Params(basis, group1, group2, *signs, k1, k2, k3)
+    terms = [_signed([p * k for k in ks]) for p, ks in zip((p1, p2, p1 * p2), choices)]
+    # option i of a term is odd-signed when i >= len(ks); with the signs
+    # fixed, the order of the indices is the order of the multipliers
+    sizes = [len(ks) for ks in choices]
+    hits = sorted(
+        (tuple(map(ge, indices, sizes)), indices, value)
+        for value, indices in _walk(terms, *certificate_window(basis))
+    )
+    tables = [_choice_table(ks) for ks in choices]
+    for _, indices, value in hits:
+        signs, ks = zip(*map(list.__getitem__, tables, indices))
+        yield value, Relation2Params(basis, group1, group2, *signs, *ks)
 
 
 def _relation3_points(basis: PrimeBasis, budget: int):
     """(value, params) for each relation3 point in the window, in grid
     order; the terms are +-(P/p)*k_p for each basis prime p, then +-P*k_last."""
-    full = prod(basis.small_primes)
-    terms = [
-        _signed((full // p * k, k) for k in _coprime_multipliers(budget, (p,)))
-        for p in basis.small_primes
-    ]
-    terms.append(_signed((full * k, k) for k in range(budget + 1)))
-    for value, keys in _walk(terms, *certificate_window(basis)):
-        signs, ks = zip(*keys)
-        yield value, Relation3Params(basis, tuple(map(Parity.from_int, signs)), ks)
+    full, cofactors = _products(basis.small_primes)
+    choices = [_coprime_multipliers(budget, (p,)) for p in basis.small_primes]
+    choices.append(range(budget + 1))
+    terms = [_signed([c * k for k in ks]) for c, ks in zip(cofactors + (full,), choices)]
+    tables = [_choice_table(ks) for ks in choices]
+    for value, indices in _walk(terms, *certificate_window(basis)):
+        signs, ks = zip(*map(list.__getitem__, tables, indices))
+        yield value, Relation3Params(basis, signs, ks)
 
 
 def find_relation1_params(

@@ -206,11 +206,11 @@ class TestSieveWriter:
             assert seen[-1].split() == [str(p) for p in below]
 
 
-    @pytest.mark.parametrize("fmt", ["text", "jsonl", "json"])
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_show_exclusions_writes_each_row_as_it_comes(self, fmt, monkeypatch):
         # stdout as it stands when the struck K values of each prime are
         # listed: the rows of the primes before are written by then (csv
-        # takes its header from every row, so it holds them all first)
+        # is given its header up front, so it streams too)
         out = io.StringIO()
         seen = []
         real = exclusion.excluded_k

@@ -1,31 +1,40 @@
 """The meet-in-the-middle engine against the nested-loop walks it replaced.
 
 Every basis with bound <= 528 (the bases {2} up to {2, ..., 19}), every
-budget 0..6, both relation1 forms with 1..3 exponent slots, relation2 over
-every ordered two-set partition and relation3: the certificates, their
-order and the first-in-grid-order representative of each value must be
-the same, in dedup and in multiset mode.
+budget 0..6, both relation1 forms with 0..3 exponent slots (0 slots is a
+power grid of the one value 1), relation2 over every ordered two-set
+partition and relation3: the certificates, their order and the
+first-in-grid-order representative of each value must be the same, in
+dedup and in multiset mode.
 
 The relation1 forms are also compared at the benchmark's shape: budget 32
 with 2 exponent slots, where the power grid has 2 * 33**2 signed options
-against 64 signed multiples.
+against 64 signed multiples. The walk itself is held to a brute force over
+random terms and windows, and the worked examples' errata search to the
+nested loops.
 """
 
-from itertools import combinations
+import json
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute_force_enumerators import (
     _enumerate_relation1,
     _enumerate_relation2,
     _enumerate_relation3,
 )
+from primekit import reference
+from primekit.cli import FORMATS, run
 from primekit.oracle import primes_leq_sqrt
 from primekit.relations import (
     RELATION1,
     RELATION1_FACTORIAL,
     RELATION2,
     RELATION3,
+    _walk,
     enumerate_certified,
     enumeration_grid_size,
 )
@@ -60,7 +69,7 @@ def _cases(construction):
         basis = primes_leq_sqrt(bound)
         for budget in BUDGETS:
             if construction in (RELATION1, RELATION1_FACTORIAL):
-                for slots in (1, 2, 3):
+                for slots in (0, 1, 2, 3):
                     yield basis, budget, {"exponent_slots": slots}
             elif construction == RELATION2:
                 for partition in _ordered_partitions(basis.small_primes):
@@ -108,3 +117,47 @@ def test_relation1_at_budget_32_with_two_slots(construction, bound):
     assert _json(enumerate_certified(construction, basis, 32, 2)) == _json(_first_per_value(want))
     if bound == 24:
         assert len(want) >= 30
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(st.lists(st.integers(-30, 30), min_size=1, max_size=6), min_size=1, max_size=4),
+    low=st.integers(-60, 60),
+    width=st.integers(-5, 60),
+)
+def test_walk_matches_brute_force(terms, low, width):
+    # small values, so that many choices share a sum and the order of the
+    # tied ones is tested too; a negative width is an empty window
+    high = low + width
+    want = []
+    for indices in product(*(range(len(term)) for term in terms)):
+        total = sum(term[i] for term, i in zip(terms, indices))
+        if low < total <= high:
+            want.append((total, indices))
+    assert list(_walk(terms, low, high)) == want
+
+
+def _first_in_grid_order(basis, target, budget, exponent_slots=2):
+    """find_relation1_params by the nested loops."""
+    for cert in _enumerate_relation1(RELATION1, basis, budget, exponent_slots):
+        if cert.signed_value == target:
+            return cert.params
+    return None
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_worked_examples_match_the_nested_loops(fmt, capsys, monkeypatch):
+    # two of the five printed relation1 values are errata; their
+    # replacements are the first accepted grid points with those values
+    argv = ["rel1", "--bound", "119", "--worked-examples", "--format", fmt]
+    assert run(argv) == 0
+    got = capsys.readouterr()
+    monkeypatch.setattr(reference, "find_relation1_params", _first_in_grid_order)
+    assert run(argv) == 0
+    assert capsys.readouterr() == got
+    if fmt == "json":
+        replacements = [r["replacement"] for r in json.loads(got.out) if "replacement" in r]
+        assert [(r["b1"], r["b2"], r["k"], r["m"]) for r in replacements] == [
+            ("odd", "even", "6", {"1": 3}),
+            ("even", "odd", "9", {"1": 1, "2": 2}),
+        ]
