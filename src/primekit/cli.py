@@ -154,7 +154,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--enumerate", action="store_true")
         p.add_argument("--budget", type=int)
         p.add_argument("--multiset", action="store_true",
-                       help="with --enumerate, keep duplicate values")
+                       help="with --enumerate, judge every window hit and keep duplicate "
+                            "values (by default each value is evaluated and oracle-checked "
+                            "once, at its first accepted grid point)")
         if name in ("rel1", "rel1f"):
             p.add_argument("--b1")
             p.add_argument("--b2")

@@ -30,7 +30,8 @@ the right. Signs and keys are read back from the option indices only for
 the points in the window, and those are evaluated in grid-key order, which
 is the order of the nested loops over signs, multipliers and exponents
 that define the grid, so the same grid always yields the same
-certificates in the same order.
+certificates in the same order. Deduplicated enumeration skips a point
+whose sum is already certified before its params are built.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import factorial, isqrt, prod
-from operator import ge
+from operator import attrgetter, ge
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .oracle import PROVEN_COMPOSITE, OracleVerdict, PrimeBasis, is_prime, large_primes
@@ -155,8 +156,12 @@ class Relation1FactorialParams:
         }
 
 
+@lru_cache(maxsize=64)
 def _check_partition(basis: PrimeBasis, group1: tuple[int, ...], group2: tuple[int, ...]) -> None:
-    """ValidationError unless the two groups split the basis primes."""
+    """ValidationError unless the two groups split the basis primes.
+
+    Cached, since every hit of a relation2 walk builds params with the same
+    split; lru_cache keeps no raise, so a bad split is refused every time."""
     if not group1 or not group2:
         raise ValidationError("both groups must be nonempty")
     if set(group1) & set(group2):
@@ -474,6 +479,12 @@ def enumerate_certified(
     value in ascending order, or the full accepted multiset in grid order
     when verbose is set.
 
+    Deduplicated, each distinct value is evaluated and checked by the
+    oracle once, at its first accepted grid point: a hit whose walk sum is
+    already certified is skipped before its params are built, while a
+    rejected hit does not stop a later one with the same value. Verbose
+    judges every hit. Each evaluated hit's value must equal its walk sum.
+
     A given partition is checked before anything is walked, so a bad one
     is refused whether or not a grid point lands in the window.
     """
@@ -487,26 +498,32 @@ def enumerate_certified(
     if size == 0:
         return []
 
+    certified: set[int] = set()
+    # the walk sums to skip: none when every hit is to be judged
+    skip = () if verbose else certified
     if construction in (RELATION1, RELATION1_FACTORIAL):
-        points = _relation1_points(construction, basis, budget, exponent_slots)
+        points = _relation1_points(construction, basis, budget, exponent_slots, skip)
     elif construction == RELATION2:
-        points = _relation2_points(basis, budget, partition)
+        points = _relation2_points(basis, budget, partition, skip)
     else:
-        points = _relation3_points(basis, budget)
+        points = _relation3_points(basis, budget, skip)
     evaluate = {
         RELATION1: eval_relation1,
         RELATION1_FACTORIAL: eval_relation1_factorial,
         RELATION2: eval_relation2,
         RELATION3: eval_relation3,
     }[construction]
-    certs = [cert for cert in (evaluate(params) for _, params in points) if cert.accepted]
-
-    if verbose:
-        return certs
-    best: dict[int, CandidateCertificate] = {}
-    for cert in certs:
-        best.setdefault(cert.value, cert)
-    return [best[v] for v in sorted(best)]
+    certs = []
+    for value, params in points:
+        cert = evaluate(params)
+        if cert.signed_value != value:
+            raise InvariantViolation(
+                f"{construction} walk summed {value} but its params give {cert.signed_value}"
+            )
+        if cert.accepted:
+            certs.append(cert)
+            certified.add(value)
+    return certs if verbose else sorted(certs, key=attrgetter("value"))
 
 
 def _signed(values: list[int]) -> list[int]:
@@ -556,9 +573,9 @@ def _walk(terms, low: int, high: int):
             yield a + sums[j], indices[0][i] + indices[1][j]
 
 
-def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponent_slots: int):
-    """(value, params) for each relation1 point in its extended window, in
-    grid order.
+def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponent_slots: int, skip=()):
+    """(value, params) for each relation1 point in its extended window whose
+    value is not in `skip` when it is reached, in grid order.
 
     The terms are +-k * lead, first since there are only 2 * budget of
     them, and +-(product of large-prime powers), 2 * (budget + 1)**slots
@@ -584,15 +601,20 @@ def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponen
         if value <= _extended_window(basis, exponents, k + 1)[1]:
             hits.append(((g, b1, b2, k), value, exponents))
     for (_, b1, b2, k), value, exponents in sorted(hits):
-        yield value, make(basis, Parity.from_int(b1), Parity.from_int(b2), k + 1, exponents)
+        if value not in skip:
+            yield value, make(basis, Parity.from_int(b1), Parity.from_int(b2), k + 1, exponents)
 
 
 def _relation2_points(
-    basis: PrimeBasis, budget: int, partition: tuple[tuple[int, ...], tuple[int, ...]] | None
+    basis: PrimeBasis,
+    budget: int,
+    partition: tuple[tuple[int, ...], tuple[int, ...]] | None,
+    skip=(),
 ):
-    """(value, params) for each relation2 point in the window, in grid
-    order (the three signs, then the three multipliers); the terms are
-    +-P1*k1, +-P2*k2 and +-P1*P2*k3."""
+    """(value, params) for each relation2 point in the window whose value
+    is not in `skip` when it is reached, in grid order (the three signs,
+    then the three multipliers); the terms are +-P1*k1, +-P2*k2 and
+    +-P1*P2*k3."""
     group1, group2 = partition or default_partition(basis)
     p1, p2 = _products(group1)[0], _products(group2)[0]
     choices = (
@@ -610,21 +632,24 @@ def _relation2_points(
     )
     tables = [_choice_table(ks) for ks in choices]
     for _, indices, value in hits:
-        signs, ks = zip(*map(list.__getitem__, tables, indices))
-        yield value, Relation2Params(basis, group1, group2, *signs, *ks)
+        if value not in skip:
+            signs, ks = zip(*map(list.__getitem__, tables, indices))
+            yield value, Relation2Params(basis, group1, group2, *signs, *ks)
 
 
-def _relation3_points(basis: PrimeBasis, budget: int):
-    """(value, params) for each relation3 point in the window, in grid
-    order; the terms are +-(P/p)*k_p for each basis prime p, then +-P*k_last."""
+def _relation3_points(basis: PrimeBasis, budget: int, skip=()):
+    """(value, params) for each relation3 point in the window whose value
+    is not in `skip` when it is reached, in grid order; the terms are
+    +-(P/p)*k_p for each basis prime p, then +-P*k_last."""
     full, cofactors = _products(basis.small_primes)
     choices = [_coprime_multipliers(budget, (p,)) for p in basis.small_primes]
     choices.append(range(budget + 1))
     terms = [_signed([c * k for k in ks]) for c, ks in zip(cofactors + (full,), choices)]
     tables = [_choice_table(ks) for ks in choices]
     for value, indices in _walk(terms, *certificate_window(basis)):
-        signs, ks = zip(*map(list.__getitem__, tables, indices))
-        yield value, Relation3Params(basis, signs, ks)
+        if value not in skip:
+            signs, ks = zip(*map(list.__getitem__, tables, indices))
+            yield value, Relation3Params(basis, signs, ks)
 
 
 def find_relation1_params(

@@ -12,9 +12,15 @@ with 2 exponent slots, where the power grid has 2 * 33**2 signed options
 against 64 signed multiples. The walk itself is held to a brute force over
 random terms and windows, and the worked examples' errata search to the
 nested loops.
+
+In dedup mode each value is evaluated only until one of its grid points
+is accepted; the last tests count those evaluations and hold the skip to
+the multiset, the slow path that judges every hit.
 """
 
+import dataclasses
 import json
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -26,7 +32,7 @@ from brute_force_enumerators import (
     _enumerate_relation2,
     _enumerate_relation3,
 )
-from primekit import reference
+from primekit import reference, relations
 from primekit.cli import FORMATS, run
 from primekit.oracle import primes_leq_sqrt
 from primekit.relations import (
@@ -161,3 +167,87 @@ def test_worked_examples_match_the_nested_loops(fmt, capsys, monkeypatch):
             ("odd", "even", "6", {"1": 3}),
             ("even", "odd", "9", {"1": 1, "2": 2}),
         ]
+
+
+# 12,230 window hits of 12 distinct values, each reached at least 1,018 times
+DUPLICATES = ["rel3", "--bound", "48", "--enumerate", "--budget", "15"]
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    original = getattr(relations, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(relations, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("multiset, evaluations", [(False, 12), (True, 12_230)])
+def test_dedup_evaluates_each_value_once(multiset, evaluations, capsys, monkeypatch):
+    oracle_calls = _counted(monkeypatch, "is_prime")
+    eval_calls = _counted(monkeypatch, "eval_relation3")
+    assert run(DUPLICATES + ["--multiset"] * multiset) == 0
+    assert len(capsys.readouterr().out.splitlines()) == evaluations
+    assert len(oracle_calls) == len(eval_calls) == evaluations
+
+
+# (construction, bound, budget, evaluator, values with a second hit): all
+# 12 values of the two grids with duplicates, 20 of relation1's 28
+@pytest.mark.parametrize(
+    "construction, bound, budget, evaluate, emitted",
+    [
+        (RELATION1, 24, 32, "eval_relation1", 20),
+        (RELATION2, 48, 6, "eval_relation2", 12),
+        (RELATION3, 48, 15, "eval_relation3", 12),
+    ],
+)
+def test_a_rejected_hit_does_not_skip_its_value(construction, bound, budget, evaluate, emitted, monkeypatch):
+    # every window hit of these grids is accepted; rejecting the first one
+    # of each value must leave the value to its second hit, and drop the
+    # values that have no second hit
+    basis = primes_leq_sqrt(bound)
+    second, hits = {}, Counter()
+    for cert in enumerate_certified(construction, basis, budget, verbose=True):
+        hits[cert.value] += 1
+        if hits[cert.value] == 2:
+            second[cert.value] = cert
+    original, rejected = getattr(relations, evaluate), set()
+
+    def reject_first(params):
+        cert = original(params)
+        if cert.value in rejected:
+            return cert
+        rejected.add(cert.value)
+        return dataclasses.replace(cert, accepted=False, reason="rejected by the test")
+
+    monkeypatch.setattr(relations, evaluate, reject_first)
+    dedup = enumerate_certified(construction, basis, budget)
+    assert _json(dedup) == _json([second[v] for v in sorted(second)])
+    assert rejected == set(hits) and len(dedup) == emitted
+
+
+@pytest.mark.parametrize(
+    "command, points",
+    [
+        ("rel1", "_relation1_points"),
+        ("rel1f", "_relation1_points"),
+        ("rel2", "_relation2_points"),
+        ("rel3", "_relation3_points"),
+    ],
+)
+@pytest.mark.parametrize("multiset", [False, True])
+def test_a_walk_sum_its_params_do_not_give_exits_three(command, points, multiset, capsys, monkeypatch):
+    original = getattr(relations, points)
+
+    def off_by_two(*args):
+        for value, params in original(*args):
+            yield value + 2, params
+
+    monkeypatch.setattr(relations, points, off_by_two)
+    argv = [command, "--bound", "24", "--enumerate", "--budget", "3"] + ["--multiset"] * multiset
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "walk summed" in err
