@@ -27,6 +27,7 @@ seeds fail loudly instead of hanging.
 
 from __future__ import annotations
 
+import decimal
 import sys
 import time
 from collections.abc import Iterator
@@ -39,6 +40,9 @@ from .oracle import OracleVerdict, is_prime, odd_prime_product, sieve_primes_bel
 from .relations import BIG_SEARCH, CandidateCertificate
 
 DEFAULT_C_DIGIT_CAP = 1_000_000
+# k's bit length from which in_decimal writes k by decimal arithmetic, not
+# str(k): the crossover measured per hit was 1,050 to 1,500 bits on seeds 5-13
+DECIMAL_K_BITS = 1200
 
 
 @dataclass(frozen=True)
@@ -166,9 +170,10 @@ def proven_hits(
     every_hit expanded over those exponents. The arguments are checked at
     the call; each hit is produced as soon as it is proven.
 
-    Every hit is checked again on its own: inside the window and odd,
-    prime by the oracle, coprime to c, and c*k - 2^n for an odd k; any
-    failure is an InvariantViolation, raised when that hit is reached.
+    Every hit is checked again on its own (_checked): each distinct R,
+    at its first hit, is inside the window and odd, prime by the oracle and
+    coprime to c, and every hit is c*k - 2^n for an odd k; any failure is an
+    InvariantViolation, raised when that hit is reached.
 
     ResourceLimitError, before any exponent is scanned, when k could pass
     Python's limit on int-to-str conversion (sys.get_int_max_str_digits()),
@@ -200,29 +205,66 @@ def proven_hits(
 
 
 def _checked(state: SearchState, hits: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int, int, OracleVerdict]]:
-    """(n, k, R, verdict) for each (n, R) of hits that passes every check."""
+    """(n, k, R, verdict) for each (n, R) of hits that passes every check.
+    The window, parity, oracle and coprimality checks depend on R alone, so
+    they run at R's first hit and its verdict is reused at its later hits;
+    c*k - 2^n = R with k odd is checked at every hit."""
     product, low, high = state.product, state.low, state.high
+    verdicts: dict[int, OracleVerdict] = {}
     for n, value in hits:
         shift = 1 << n
         k = (value + shift) // product
-        if not low < value <= high or value % 2 == 0:
-            raise InvariantViolation(
-                f"window arithmetic produced out-of-range value {value} at n={n}, k={k}"
-            )
-        verdict = is_prime(value)
-        if not verdict.is_prime:
-            raise InvariantViolation(
-                f"certified search value {value} = c*{k} - 2^{n} refuted by oracle"
-            )
-        if gcd(value, product) != 1:
-            raise InvariantViolation(
-                f"search value {value} shares a factor with the odd-prime product"
-            )
+        verdict = verdicts.get(value)
+        if verdict is None:
+            if not low < value <= high or value % 2 == 0:
+                raise InvariantViolation(
+                    f"window arithmetic produced out-of-range value {value} at n={n}, k={k}"
+                )
+            verdict = is_prime(value)
+            if not verdict.is_prime:
+                raise InvariantViolation(
+                    f"certified search value {value} = c*{k} - 2^{n} refuted by oracle"
+                )
+            if gcd(value, product) != 1:
+                raise InvariantViolation(
+                    f"search value {value} shares a factor with the odd-prime product"
+                )
+            verdicts[value] = verdict
         if product * k - shift != value or k % 2 == 0:
             raise InvariantViolation(
                 f"search value {value} at n={n} is not c*k - 2^n for an odd k"
             )
         yield n, k, value, verdict
+
+
+def in_decimal(
+    state: SearchState, hits: Iterator[tuple[int, int, int, OracleVerdict]]
+) -> Iterator[tuple[int, str, int, OracleVerdict]]:
+    """(n, k in decimal, R, verdict) for each hit of proven_hits, in order.
+
+    str(k) costs time quadratic in k's digit count. From DECIMAL_K_BITS bits
+    on, k is computed again as (2^n + R) // c in decimal arithmetic, whose
+    multiply, divide and str are linear at these sizes (libmpdec keeps
+    digits in base 10^19). 2^n is kept as a Decimal and multiplied by
+    2^(n - previous n) as the exponents of proven_hits ascend. The division
+    is exact, since c*k - 2^n = R has passed for the hit, and the context
+    traps Inexact and Rounded, so a rounded k would raise instead of being
+    written. Nothing is built for a search whose hits all lie below
+    DECIMAL_K_BITS."""
+    context = None
+    for n, k, value, verdict in hits:
+        if k.bit_length() < DECIMAL_K_BITS:
+            yield n, str(k), value, verdict
+            continue
+        if context is None:
+            context = decimal.Context(
+                prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+            )
+            product, power, at = decimal.Decimal(state.product), decimal.Decimal(1), 0
+        if n != at:
+            power = context.multiply(power, context.power(2, n - at))
+            at = n
+        yield n, str(context.divide_int(context.add(power, value), product)), value, verdict
 
 
 def search(

@@ -28,7 +28,7 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, proven_hits
+from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, in_decimal, proven_hits
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .exclusion import ExclusionSpec, excluded_k, prime_spans
 from .mersenne import scan_prime_zn
@@ -488,26 +488,27 @@ def _hit_verdict(verdict: OracleVerdict, fmt: str) -> str:
 
 
 def _cmd_bigsearch(args, cfg: RunConfig) -> int:
-    """Write each hit as proven_hits proves it, from one line template per
-    format, byte for byte as _write_records would write the hit's record (a
-    refuted hit stops the run with the hits before it written). elapsed_ms
-    is the time from the start of the search to the hit."""
+    """Write each hit as proven_hits proves it, with k in decimal from
+    in_decimal, from one line template per format, byte for byte as
+    _write_records would write the hit's record (a refuted hit stops the
+    run with the hits before it written). elapsed_ms is the time from the
+    start of the search to the hit."""
     state = build_state(args.seed, c_digit_cap=cfg.seed_cap_digits)
     began = time.perf_counter()
-    hits = proven_hits(state, args.max_n, max_hits=args.max_hits, min_n=args.min_n)
+    hits = in_decimal(state, proven_hits(state, args.max_n, max_hits=args.max_hits, min_n=args.min_n))
     head, line, between, tail, empty = _HIT_LAYOUTS[cfg.format]
     seed = str(state.seed)
-    verdicts: dict[tuple, str] = {}  # (status, method, witness): its rendering in cfg.format
+    fields: dict[int, tuple] = {}  # R: its text, digit count and verdict rendered in cfg.format
 
     def pieces():
         for n, k, value, verdict in hits:
             ms = round((time.perf_counter() - began) * 1000.0, 3)
-            key = (verdict.status, verdict.method, verdict.witness)
-            if key not in verdicts:
-                verdicts[key] = _hit_verdict(verdict, cfg.format)
-            k, text = str(k), str(value)
+            if value not in fields:  # proven_hits gives one verdict per R
+                text = str(value)
+                fields[value] = text, len(text), _hit_verdict(verdict, cfg.format)
+            text, digits, shown = fields[value]
             logged = (BIG_SEARCH, {"seed": seed, "k": k, "n": n}, value, verdict) if cfg.log_path else None
-            yield line.format(seed, k, n, text, len(text), verdicts[key], ms), logged
+            yield line.format(seed, k, n, text, digits, shown, ms), logged
 
     _write(pieces(), (head, between, tail, empty), cfg)
     return 0

@@ -275,3 +275,51 @@ class TestPerHitChecks:
         )
         with pytest.raises(InvariantViolation, match=message):
             search(build_state(13), 18)
+
+    def test_a_later_hit_of_a_checked_value_is_still_checked(self, monkeypatch):
+        # 131 = 1155*1 - 2^10 holds at n = 10; the same R at n = 11 does not
+        monkeypatch.setattr(bigsearch, "every_hit", lambda state: [(131, 10, 60), (131, 11, 60)])
+        state = build_state(13)
+        asked = []
+        real = bigsearch.is_prime
+        monkeypatch.setattr(bigsearch, "is_prime", lambda x: asked.append(x) or real(x))
+        hits = bigsearch.proven_hits(state, 18)
+        assert next(hits)[:3] == (10, 1, 131)
+        with pytest.raises(InvariantViolation, match="not c\\*k - 2\\^n"):
+            next(hits)
+        assert asked == [131]
+
+
+class TestInDecimal:
+    """in_decimal writes each k as str(k) does, on both sides of DECIMAL_K_BITS."""
+
+    @staticmethod
+    def _written(seed, max_n, min_n):
+        state = build_state(seed)
+        hits = list(bigsearch.proven_hits(state, max_n, min_n=min_n))
+        return list(bigsearch.in_decimal(state, iter(hits))), hits
+
+    @pytest.mark.parametrize("seed", [5, 7, 11, 13])
+    @pytest.mark.parametrize("min_n", [1, 1500])  # from 1500 the first power is one jump past the switch
+    def test_every_hit_up_to_n_4000(self, seed, min_n):
+        written, hits = self._written(seed, 4000, min_n)
+        assert written == [(n, str(k), value, verdict) for n, k, value, verdict in hits]
+        assert hits[0][1].bit_length() >= bigsearch.DECIMAL_K_BITS or min_n == 1
+        assert hits[-1][1].bit_length() >= bigsearch.DECIMAL_K_BITS
+
+    @pytest.mark.parametrize("seed", [5, 7, 11, 13])
+    def test_every_k_in_decimal(self, monkeypatch, seed):
+        # with no switch, the smallest k (3 for seed 5 at n = 1) takes the decimal path too
+        monkeypatch.setattr(bigsearch, "DECIMAL_K_BITS", 0)
+        written, hits = self._written(seed, 400, None)
+        assert written == [(n, str(k), value, verdict) for n, k, value, verdict in hits]
+
+    def test_builds_nothing_below_the_switch(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a decimal context was built")
+
+        monkeypatch.setattr(bigsearch.decimal, "Context", refused)
+        written, hits = self._written(5, bigsearch.DECIMAL_K_BITS, None)
+        assert len(written) == len(hits) == 3 * bigsearch.DECIMAL_K_BITS
+        with pytest.raises(AssertionError, match="decimal context"):
+            self._written(5, bigsearch.DECIMAL_K_BITS + 2, None)

@@ -519,21 +519,27 @@ class TestBigsearchWriter:
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_log_matches_the_per_record_log(self, fmt, tmp_path):
-        want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
-        _, hits = self._emitted(13, 200, None, None, fmt, log=str(want))
-        self._streamed(13, 200, None, None, fmt, log=str(got))
-        masked, stamps = _masked(got.read_text(), _TIMESTAMP)
-        assert masked == _masked(want.read_text(), _TIMESTAMP)[0]
-        assert stamps == hits == 20
+        # seed 7 has hits at every exponent and its k reach DECIMAL_K_BITS at
+        # n = 1203; from n = 1250 its first power of two is built in one jump
+        assert ((2 ** 1250 + 11) // 15).bit_length() >= bigsearch.DECIMAL_K_BITS
+        for seed, max_n, min_n, count in ((13, 200, None, 20), (7, 1300, None, 1950), (7, 1300, 1250, 76)):
+            want, got = tmp_path / f"want-{seed}-{min_n}.jsonl", tmp_path / f"got-{seed}-{min_n}.jsonl"
+            wanted, hits = self._emitted(seed, max_n, min_n, None, fmt, log=str(want))
+            out = self._streamed(seed, max_n, min_n, None, fmt, log=str(got))
+            assert _masked(out)[0] == _masked(wanted)[0], (seed, min_n)
+            masked, stamps = _masked(got.read_text(), _TIMESTAMP)
+            assert masked == _masked(want.read_text(), _TIMESTAMP)[0], (seed, min_n)
+            assert stamps == hits == count
 
-    def test_oracle_called_once_per_hit(self, monkeypatch):
+    def test_oracle_called_once_per_distinct_value(self, monkeypatch):
         values = []
         real = bigsearch.is_prime
         monkeypatch.setattr(bigsearch, "is_prime", lambda x: values.append(x) or real(x))
         out = self._streamed(7, 300, None, None, "text")
-        # the seed, then each printed R in order
-        assert values == [7] + [int(line.split("R=")[1].split()[0]) for line in out.splitlines()]
-        assert len(values) == 451
+        printed = [int(line.split("R=")[1].split()[0]) for line in out.splitlines()]
+        # the seed, then each distinct R in the order of its first hit
+        assert values == [7] + list(dict.fromkeys(printed))
+        assert len(printed) == 450 and len(values) == 7
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     @pytest.mark.parametrize(
