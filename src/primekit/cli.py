@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, in_decimal, proven_hits
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
-from .exclusion import ExclusionSpec, excluded_k, prime_spans
+from .exclusion import ExclusionSpec, excluded_k, prime_blocks
 from .mersenne import scan_prime_zn
 from .oracle import OracleVerdict, is_prime, primes_leq_sqrt
 from .reference import relation1_report, relation2_report, relation3_report
@@ -58,14 +58,16 @@ FORMATS = ("text", "json", "csv", "jsonl")
 # A layout frames a command's pieces of output: (head, between, tail, empty)
 # is what precedes the first piece, what goes between two pieces, what
 # follows the last, and the whole output when there is no piece (_write).
-# The sieve and bigsearch render each value or hit from a line template,
-# so a 5-field layout per format is (head, line, between, tail, empty).
-# Sieve: a line renders one prime's record {"value": str(v)}.
+# Bigsearch renders each hit from a line template, so its 5-field layout
+# per format is (head, line, between, tail, empty). The sieve's line is
+# split around its one value, so its 6-field layout is (head, before,
+# after, between, tail, empty): a prime's record {"value": str(v)} is
+# before + str(v) + after.
 _VALUE_LAYOUTS = {
-    "text": ("", "{}\n", "", "", ""),
-    "jsonl": ("", '{{"value":"{}"}}\n', "", "", ""),
-    "csv": ("value\n", "{}\n", "", "", ""),
-    "json": ("[\n", '  {{\n    "value": "{}"\n  }}', ",\n", "\n]\n", "[]\n"),
+    "text": ("", "", "\n", "", "", ""),
+    "jsonl": ("", '{"value":"', '"}\n', "", "", ""),
+    "csv": ("value\n", "", "\n", "", "", ""),
+    "json": ("[\n", '  {\n    "value": "', '"\n  }', ",\n", "\n]\n", "[]\n"),
 }
 # Bigsearch: a line's fields are {0} seed, {1} k, {2} n, {3} R, {4} R's
 # digit count, {5} the verdict as rendered for the format (_hit_verdict)
@@ -309,12 +311,17 @@ def _cmd_sieve(args, cfg: RunConfig) -> int:
             )
         _write_records(_exclusion_rows(spec), cfg, ("prime", "excluded"))
         return 0
-    spans = prime_spans(args.bound, include_two=include_two)  # a bound >= 9 keeps 3, 5 and 7
-    # one piece per nonempty span, its values' lines joined by `between`;
-    # the sieve logs no record, but --log creates the file as for every command
-    head, line, between, tail, empty = _VALUE_LAYOUTS[cfg.format]
-    joined = line + between
-    pieces = (((joined * (len(span) - 1) + line).format(*span), None) for span in spans if span)
+    blocks = prime_blocks(args.bound, include_two=include_two)  # a bound >= 9 keeps 3, 5 and 7
+    # one piece per block with a prime: every line of a block shares its
+    # prefix, so the lines are the block's suffixes joined by what ends one
+    # line and starts the next; the sieve logs no record, but --log creates
+    # the file as for every command
+    head, before, after, between, tail, empty = _VALUE_LAYOUTS[cfg.format]
+    pieces = (
+        (before + prefix + (after + between + before + prefix).join(suffixes) + after, None)
+        for prefix, suffixes in blocks
+        if suffixes
+    )
     _write(pieces, (head, between, tail, empty), cfg)
     return 0
 

@@ -9,10 +9,16 @@ the exact rational window bounds are kept around (and are what excluded_k
 reports) because an off-by-one at either end silently drops the largest
 prime or keeps a composite.
 
-The mask is struck in one pass and then read out SPAN K's at a time
-(prime_spans), so a caller can write the first primes before the last are
-built and never holds a list of all of them; primes_below is those spans
-joined. This is the segmented output of Bays & Hudson, BIT 17 (1977).
+The mask is struck in one pass and then read out as decimal text, one
+block of 10^4 integers (5,000 K's) at a time (prime_blocks), so a caller
+can write the first primes before the last are read out. Every odd R of
+block q >= 1 is str(q) followed by a 4-digit zero-padded suffix, so a
+block's primes are its prefix and the suffixes its mask keeps, picked
+from one cached table (block 0's from the same table without leading
+zeros): no int is made and nothing is formatted per K. Memory is the
+mask, one block and the suffix tables. primes_below and
+primes_below_next_square parse the same blocks back to ints. This is the
+segmented output of Bays & Hudson, BIT 17 (1977).
 """
 
 from __future__ import annotations
@@ -20,17 +26,20 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from functools import cache
+from itertools import compress
 from math import ceil
 
 from .errors import ResourceLimitError, ValidationError
 from .oracle import PrimeBasis, primes_leq_sqrt
 
 DENSE_BOUND_MAX = 1 << 31
-# K's per list that prime_spans yields: R over 16,384 integers, about 1,100
-# primes near 2.5e6, so one span's lines fill an 8 KiB block of a buffered
-# stdout; a larger span holds the first block back
-SPAN = 1 << 13
+# integers per block that prime_blocks yields, and the K's they hold: a
+# power of ten, so a block's odd R share their digits but the last four.
+# One block is about 700 primes near 2.5e6, so its lines fill most of an
+# 8 KiB block of a buffered stdout
+BLOCK = 10 ** 4
+BLOCK_K = BLOCK // 2
 
 
 @dataclass(frozen=True)
@@ -92,13 +101,37 @@ def _strike(bound: int, odd_primes: tuple[int, ...]) -> bytearray:
     return keep
 
 
-def _spans(keep: bytearray, include_two: bool) -> Iterator[list[int]]:
-    """The admissible R, one list per SPAN K's (2 first when included)."""
-    primes = [2] if include_two else []
-    for lo in range(0, len(keep), SPAN):
-        primes.extend(compress(range(2 * lo + 1, 2 * (lo + SPAN) + 1, 2), keep[lo : lo + SPAN]))
-        yield primes
-        primes = []
+@cache
+def _suffixes() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The odd R of a block in K order as the text after its prefix: 4
+    digits, '0001' to '9999', and for block 0 the same without leading
+    zeros, '1' to '9999'. Built from digit strings at the first call."""
+    digits = "0123456789"
+    pairs = [a + b for a in digits for b in digits]
+    odd_pairs = [a + b for a in digits for b in "13579"]
+    padded = tuple([x + y for x in pairs for y in odd_pairs])
+    return padded, tuple([s.lstrip("0") for s in padded[:500]]) + padded[500:]  # 500 odd R < 1000
+
+
+def _blocks(keep: bytearray, include_two: bool) -> Iterator[tuple[str, list[str]]]:
+    """(prefix, suffixes) per BLOCK integers, the suffixes those of the
+    admissible K: block q >= 1 has prefix str(q) and 4-digit suffixes,
+    block 0 an empty prefix and plain suffixes (2 first when included).
+    A list may be empty."""
+    padded, plain = _suffixes()
+    first = list(compress(plain, keep[:BLOCK_K]))
+    yield "", ["2", *first] if include_two else first
+    for q in range(1, -(-len(keep) // BLOCK_K)):
+        lo = q * BLOCK_K
+        yield str(q), list(compress(padded, keep[lo : lo + BLOCK_K]))
+
+
+def _check_cap(bound: int) -> None:
+    """ResourceLimitError when the mask for `bound` would pass the cap."""
+    if bound > DENSE_BOUND_MAX:
+        raise ResourceLimitError(
+            f"bound {bound} exceeds the dense-sieve cap {DENSE_BOUND_MAX}"
+        )
 
 
 def _basis(bound: int) -> PrimeBasis:
@@ -106,23 +139,29 @@ def _basis(bound: int) -> PrimeBasis:
     checks: ValidationError below 9, ResourceLimitError above DENSE_BOUND_MAX."""
     if bound < 9:
         raise ValidationError(f"bound must be at least 9, got {bound}")
-    if bound > DENSE_BOUND_MAX:
-        raise ResourceLimitError(
-            f"bound {bound} exceeds the dense-sieve cap {DENSE_BOUND_MAX}"
-        )
+    _check_cap(bound)
     return primes_leq_sqrt(bound)
 
 
-def prime_spans(bound: int, include_two: bool = True) -> Iterator[list[int]]:
-    """The primes below `bound` in ascending lists, one per SPAN K's (a
-    list may be empty). The bound is checked and the mask struck at the
-    call; the lists are built as they are asked for."""
-    return _spans(_strike(bound, _basis(bound).odd_primes), include_two)
+def prime_blocks(bound: int, include_two: bool = True) -> Iterator[tuple[str, list[str]]]:
+    """The primes below `bound` as decimal text, ascending, one
+    (prefix, suffixes) per BLOCK integers: each prime is prefix + suffix.
+    The bound is checked and the mask struck at the call; the blocks are
+    read out as they are asked for."""
+    return _blocks(_strike(bound, _basis(bound).odd_primes), include_two)
+
+
+def _values(blocks: Iterator[tuple[str, list[str]]]) -> list[int]:
+    """The primes that the blocks spell, as ints in order."""
+    values = []
+    for prefix, suffixes in blocks:
+        values.extend(map(int, map(prefix.__add__, suffixes)))
+    return values
 
 
 def primes_below(bound: int, include_two: bool = True) -> list[int]:
     """All primes below `bound` as 2K+1 over admissible K (plus 2 on request)."""
-    return list(chain.from_iterable(prime_spans(bound, include_two)))
+    return _values(prime_blocks(bound, include_two))
 
 
 def primes_below_next_square(basis: PrimeBasis, include_two: bool = True) -> list[int]:
@@ -132,8 +171,5 @@ def primes_below_next_square(basis: PrimeBasis, include_two: bool = True) -> lis
     built for some smaller bound loses nothing by sieving to the square.
     """
     bound = basis.next_prime ** 2 - 1
-    if bound > DENSE_BOUND_MAX:
-        raise ResourceLimitError(
-            f"bound {bound} exceeds the dense-sieve cap {DENSE_BOUND_MAX}"
-        )
-    return list(chain.from_iterable(_spans(_strike(bound, basis.odd_primes), include_two)))
+    _check_cap(bound)
+    return _values(_blocks(_strike(bound, basis.odd_primes), include_two))

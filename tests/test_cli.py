@@ -164,47 +164,51 @@ class TestSieveWriter:
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_large_bounds(self, fmt):
-        cases = [(bound, flags) for bound in (10 ** 5, 10 ** 6) for flags in _SIEVE_FLAGS]
-        self._check(sieve_primes_below(10 ** 6), cases, fmt)
+        # 10^5 and 10^6 are among test_counts_around_whole_chunks' bounds
+        cases = [(2_500_000, flags) for flags in _SIEVE_FLAGS]
+        self._check(sieve_primes_below(2_500_000), cases, fmt)
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_counts_around_whole_chunks(self, fmt):
-        # the last K, (bound - 2) // 2, one below, at and one above the end
-        # of one and of two whole spans, with either parity of the bound; a
-        # last span of one composite K yields no prime
-        span = exclusion.SPAN
-        last_ks = [n * span - 1 + d for n in (1, 2) for d in (-1, 0, 1)]
-        bounds = [2 * k + 2 + odd for k in last_ks for odd in (0, 1)]
+        # bounds one below, at, and one and two above the end of 1, 2, 10
+        # and 100 whole blocks of exclusion.BLOCK integers, where a block's
+        # prefix gains a digit at 10^5 and 10^6: the last block is whole,
+        # or holds one K or two. At BLOCK*q + 2 its one K is the composite
+        # BLOCK*q + 1, so that block has no prime and writes nothing
+        block = exclusion.BLOCK
+        bounds = [block * q + d for q in (1, 2, 10, 100) for d in (-1, 0, 1, 2)]
         reference = sieve_primes_below(max(bounds))
         self._check(reference, [(bound, flags) for bound in bounds for flags in _SIEVE_FLAGS], fmt)
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
-    def test_writes_each_span_as_it_comes(self, fmt, monkeypatch):
-        # stdout as it stands each time the engine hands over a span: the
-        # head goes out with the first span, and every value of the spans
-        # before the last is written before the last span is built
+    def test_writes_each_block_as_it_comes(self, fmt, monkeypatch):
+        # stdout as it stands each time the engine is asked for a block:
+        # nothing before the first, and before block i is read out, every
+        # prime below BLOCK*i, rendered in full but for the format's tail
         out = io.StringIO()
         seen = []
-        spans = exclusion.prime_spans
+        real = exclusion.prime_blocks
 
         def watched(bound, include_two):
-            for span in spans(bound, include_two=include_two):
+            blocks = real(bound, include_two=include_two)
+            while True:
                 seen.append(out.getvalue())
-                yield span
+                block = next(blocks, None)
+                if block is None:
+                    return
+                yield block
 
-        monkeypatch.setattr(cli, "prime_spans", watched)
+        monkeypatch.setattr(cli, "prime_blocks", watched)
         with contextlib.redirect_stdout(out):
-            assert run(["sieve", "--bound", "200000", "--format", fmt]) == 0
-        assert len(seen) == -(-100_000 // exclusion.SPAN)
-        assert self._emitted(sieve_primes_below(200_000), fmt) == out.getvalue()
-        head = cli._VALUE_LAYOUTS[fmt][0]
+            assert run(["sieve", "--bound", "100000", "--format", fmt]) == 0
+        primes = sieve_primes_below(100_000)
+        assert len(seen) == 100_000 // exclusion.BLOCK + 1
+        assert out.getvalue() == self._emitted(primes, fmt)
+        tail = cli._VALUE_LAYOUTS[fmt][4]
         assert seen[0] == ""
-        assert len(seen[1]) > len(head) and seen[-1].startswith(seen[1])
-        assert out.getvalue().startswith(seen[-1])
-        if fmt == "text":  # every value of the spans before
-            below = [p for p in sieve_primes_below(200_000) if p < 2 * (len(seen) - 1) * exclusion.SPAN]
-            assert seen[-1].split() == [str(p) for p in below]
-
+        for i, text in enumerate(seen[1:-1], 1):
+            below = primes[: bisect_left(primes, i * exclusion.BLOCK)]
+            assert text + tail == self._emitted(below, fmt), i
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_show_exclusions_writes_each_row_as_it_comes(self, fmt, monkeypatch):

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import slow_is_prime, slow_primes_below
-from primekit.errors import ValidationError
+from primekit.errors import ResourceLimitError, ValidationError
 from primekit.exclusion import (
-    SPAN,
+    BLOCK,
+    BLOCK_K,
     ExclusionSpec,
     excluded_k,
-    prime_spans,
+    prime_blocks,
     primes_below,
     primes_below_next_square,
 )
@@ -86,10 +87,10 @@ class TestPrimesBelow:
             assert primes_below(bound) == expected, bound
             assert primes_below(bound, include_two=False) == expected[1:], bound
 
-    def test_equals_oracle_sieve_around_span_edges(self):
+    def test_equals_oracle_sieve_around_block_edges(self):
         # the last K, (bound - 2) // 2, one below, at and one above the end
-        # of one, two and three whole spans, with either parity of the bound
-        last_ks = [n * SPAN - 1 + d for n in (1, 2, 3) for d in (-1, 0, 1)]
+        # of one, two and three whole blocks, with either parity of the bound
+        last_ks = [n * BLOCK_K - 1 + d for n in (1, 2, 3) for d in (-1, 0, 1)]
         bounds = [2 * k + 2 + odd for k in last_ks for odd in (0, 1)]
         reference = sieve_primes_below(max(bounds))
         for bound in bounds:
@@ -97,20 +98,34 @@ class TestPrimesBelow:
             assert primes_below(bound) == expected, bound
             assert primes_below(bound, include_two=False) == expected[1:], bound
 
-    @pytest.mark.parametrize("bound", [9, 2 * SPAN + 1, 2 * SPAN + 2, 2 * SPAN + 3, 10 ** 5])
-    def test_spans_cover_their_k_ranges(self, bound):
-        # one list per SPAN K's, ascending, each holding exactly the primes
-        # R = 2K+1 of its K's (2 in the first)
-        spans = list(prime_spans(bound))
-        assert len(spans) == -(-((bound - 2) // 2 + 1) // SPAN)
-        reference = sieve_primes_below(bound)
-        for i, span in enumerate(spans):
-            lo, hi = 2 * i * SPAN, 2 * (i + 1) * SPAN
-            assert span == [p for p in reference if lo <= p < hi], i
+    @pytest.mark.parametrize("q", [1, 2, 10, 100])
+    def test_blocks_hold_the_oracle_primes_of_their_integers(self, q):
+        # bounds BLOCK*q + {-1, 0, 1, 2}: the last block is whole, or holds
+        # one K or two; the prefix gains a digit at 10^5 and 10^6. Block i is
+        # str(i) (empty for 0) and the suffixes that spell, digit for digit,
+        # the primes in [BLOCK*i, BLOCK*(i+1)) below the bound
+        reference = sieve_primes_below(BLOCK * q + 2)
+        for bound in range(BLOCK * q - 1, BLOCK * q + 3):
+            for include_two in (True, False):
+                blocks = list(prime_blocks(bound, include_two))
+                assert len(blocks) == -(-((bound - 2) // 2 + 1) // BLOCK_K), bound
+                for i, (prefix, suffixes) in enumerate(blocks):
+                    lo, hi = BLOCK * i, min(BLOCK * (i + 1), bound)
+                    expected = reference[bisect_left(reference, lo) : bisect_left(reference, hi)]
+                    if not include_two:
+                        expected = [p for p in expected if p != 2]
+                    assert prefix == (str(i) if i else ""), (bound, i)
+                    assert [prefix + suffix for suffix in suffixes] == list(map(str, expected)), (bound, i)
+                if bound == BLOCK * q + 2:
+                    # its last block is the one K of BLOCK*q + 1, a composite
+                    # for every q here, and yields no suffix
+                    assert blocks[-1] == (str(q), []), bound
 
-    def test_spans_check_the_bound_at_the_call(self):
+    def test_blocks_check_the_bound_at_the_call(self):
         with pytest.raises(ValidationError):
-            prime_spans(8)
+            prime_blocks(8)
+        with pytest.raises(ResourceLimitError):
+            prime_blocks(2 ** 31 + 1)
 
     def test_soundness_no_admissible_composite(self):
         for bound in (9, 48, 120, 2000):
@@ -122,8 +137,6 @@ class TestPrimesBelow:
             primes_below(8)
 
     def test_dense_cap(self):
-        from primekit.errors import ResourceLimitError
-
         with pytest.raises(ResourceLimitError):
             primes_below(2 ** 31 + 2)
 
@@ -146,6 +159,14 @@ class TestPrimesBelowNextSquare:
     def test_singleton_basis(self):
         basis = primes_leq_sqrt(5)  # {2}, next prime 3: no odd strikes at all
         assert primes_below_next_square(basis, include_two=False) == [3, 5, 7]
+
+    def test_dense_cap(self):
+        # 46337 is the largest prime below sqrt(2^31) and 46349 the next, so
+        # the square's bound passes the cap that primes_below applies
+        basis = primes_leq_sqrt(46340 ** 2)
+        assert basis.next_prime == 46349
+        with pytest.raises(ResourceLimitError, match=f"bound {46349 ** 2 - 1} exceeds the dense-sieve cap"):
+            primes_below_next_square(basis)
 
     def test_matches_oracle(self):
         for bound in (30, 120, 400):
