@@ -121,6 +121,19 @@ class TestPrimesBelow:
                     # for every q here, and yields no suffix
                     assert blocks[-1] == (str(q), []), bound
 
+    @pytest.mark.parametrize("bound", [16385, 16386, 16387])
+    def test_spans_cover_their_k_ranges(self, bound):
+        # a last block cut part-way, not at a block edge: its last K is 8191
+        # or 8192, the latter for an even and an odd bound. Each block spans
+        # BLOCK_K K's, so block i holds exactly the primes R = 2K+1 of
+        # K in [BLOCK_K*i, BLOCK_K*(i+1)) (2 in the first), ascending
+        blocks = list(prime_blocks(bound))
+        assert len(blocks) == -(-((bound - 2) // 2 + 1) // BLOCK_K) == 2
+        reference = sieve_primes_below(bound)
+        for i, (prefix, suffixes) in enumerate(blocks):
+            lo, hi = 2 * i * BLOCK_K, 2 * (i + 1) * BLOCK_K
+            assert [int(prefix + suffix) for suffix in suffixes] == [p for p in reference if lo <= p < hi], i
+
     def test_blocks_check_the_bound_at_the_call(self):
         with pytest.raises(ValidationError):
             prime_blocks(8)
