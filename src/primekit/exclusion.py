@@ -16,9 +16,9 @@ block q >= 1 is str(q) followed by a 4-digit zero-padded suffix, so a
 block's primes are its prefix and the suffixes its mask keeps, picked
 from one cached table (block 0's from the same table without leading
 zeros): no int is made and nothing is formatted per K. Memory is the
-mask, one block and the suffix tables. primes_below and
-primes_below_next_square parse the same blocks back to ints. This is the
-segmented output of Bays & Hudson, BIT 17 (1977).
+mask, one block and the suffix tables. This is the segmented output of
+Bays & Hudson, BIT 17 (1977). primes_below and primes_below_next_square
+return lists of ints, which they read straight from the same mask.
 """
 
 from __future__ import annotations
@@ -151,17 +151,16 @@ def prime_blocks(bound: int, include_two: bool = True) -> Iterator[tuple[str, li
     return _blocks(_strike(bound, _basis(bound).odd_primes), include_two)
 
 
-def _values(blocks: Iterator[tuple[str, list[str]]]) -> list[int]:
-    """The primes that the blocks spell, as ints in order."""
-    values = []
-    for prefix, suffixes in blocks:
-        values.extend(map(int, map(prefix.__add__, suffixes)))
-    return values
+def _values(keep: bytearray, include_two: bool) -> list[int]:
+    """The R = 2K+1 of the admissible K, as ints in order (2 first when
+    included)."""
+    odd = compress(range(1, 2 * len(keep), 2), keep)
+    return [2, *odd] if include_two else list(odd)
 
 
 def primes_below(bound: int, include_two: bool = True) -> list[int]:
     """All primes below `bound` as 2K+1 over admissible K (plus 2 on request)."""
-    return _values(prime_blocks(bound, include_two))
+    return _values(_strike(bound, _basis(bound).odd_primes), include_two)
 
 
 def primes_below_next_square(basis: PrimeBasis, include_two: bool = True) -> list[int]:
@@ -172,4 +171,4 @@ def primes_below_next_square(basis: PrimeBasis, include_two: bool = True) -> lis
     """
     bound = basis.next_prime ** 2 - 1
     _check_cap(bound)
-    return _values(_blocks(_strike(bound, basis.odd_primes), include_two))
+    return _values(_strike(bound, basis.odd_primes), include_two)

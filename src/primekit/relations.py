@@ -25,9 +25,12 @@ meet-in-the-middle (Horowitz and Sahni, 1974): it builds the partial sums
 of each half of the terms as plain ints, sorts the right half's once
 through an index permutation, and loops over the left half's sums,
 bisecting the sorted half once per left sum. relation1 puts its
-2 * budget signed multiples on the left and its much larger power grid on
-the right. Signs and keys are read back from the option indices only for
-the points in the window, and those are evaluated in grid-key order, which
+2 * budget signed multiples k * lead on the left and its power products g
+on the right, but only the g that can reach the window (low, high]: a g
+outside [1, high] and [lead - high, budget * lead + high] pairs with no
+sign and no multiplier, so it is never built (_relation1_points). Signs
+and keys are read back from the option indices only for the points in
+the window, and those are evaluated in grid-key order, which
 is the order of the nested loops over signs, multipliers and exponents
 that define the grid, so the same grid always yields the same
 certificates in the same order. Deduplicated enumeration skips a point
@@ -37,10 +40,10 @@ whose sum is already certified before its params are built.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import factorial, isqrt, prod
 from operator import attrgetter, ge
 
@@ -573,14 +576,50 @@ def _walk(terms, low: int, high: int):
             yield a + sums[j], indices[0][i] + indices[1][j]
 
 
+def _reachable_powers(primes: tuple[int, ...], budget: int, near: int, far: int, top: int):
+    """(indices, values) of the products of p**e, e in [0, budget], one
+    power per prime, whose value lies in [1, near] or [far, top] (near <=
+    top), in grid order: the order of itertools.product over the
+    exponents, the last prime's fastest. A product's index is its place in
+    that full grid, so its exponents are its base-(budget + 1) digits.
+
+    The prefix products over all but the last prime are built one prime at
+    a time, each dropped once it passes top; the last prime's exponents
+    come as two ranges, bisected from its power list."""
+    base = budget + 1
+    prefixes = [(0, 1)]
+    for p in primes[:-1]:
+        powers = [p ** e for e in range(base)]
+        prefixes = [
+            (i * base + e, v * pe)
+            for i, v in prefixes
+            for e, pe in enumerate(powers[: bisect_right(powers, top // v)])
+        ]
+    # with no primes the grid is the one empty product
+    powers = [primes[-1] ** e for e in range(base)] if primes else [1]
+    indices, values = [], []
+    for i, v in prefixes:
+        below = bisect_right(powers, near // v)
+        above = max(below, bisect_left(powers, -(-far // v)))
+        for e in chain(range(below), range(above, bisect_right(powers, top // v))):
+            indices.append(i * base + e)
+            values.append(v * powers[e])
+    return indices, values
+
+
 def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponent_slots: int, skip=()):
     """(value, params) for each relation1 point in its extended window whose
     value is not in `skip` when it is reached, in grid order.
 
     The terms are +-k * lead, first since there are only 2 * budget of
-    them, and +-(product of large-prime powers), 2 * (budget + 1)**slots
-    options built one prime at a time, the exponent of the last prime
-    fastest. The walk runs over the widest extended window; each hit is
+    them, and +-g for the products g of large-prime powers that can reach
+    the walk's window (low, high], the widest extended window. A sum
+    s1 * k * lead + s2 * g with 1 <= k <= budget lands there only if
+    g <= high - lead (+, +), k * lead - high <= g < k * lead - low (+, -)
+    or k * lead + low < g <= k * lead + high (-, +); (-, -) is negative.
+    So a g outside [1, high] and [lead - high, budget * lead + high]
+    never pairs, and _reachable_powers leaves it out of the grid. Each hit
+    keeps its full grid index, from which its exponents are read, and is
     then held to its own window, which depends on its exponents and k.
     """
     if construction == RELATION1_FACTORIAL:
@@ -588,16 +627,20 @@ def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponen
     else:
         lead, make = _products(basis.small_primes)[0], Relation1Params
     larges = large_primes(basis, exponent_slots + 1)
-    grid = [1]
-    for p in larges[:exponent_slots]:
-        powers_of_p = [p ** e for e in range(budget + 1)]
-        grid = [value * pe for value in grid for pe in powers_of_p]
+    low, high = basis.largest, larges[-1] ** 2 - 1
+    indices, grid = _reachable_powers(
+        larges[:exponent_slots], budget, high, lead - high, budget * lead + high
+    )
     multiples = [k * lead for k in range(1, budget + 1)]
-    hits, table = [], None
-    for value, (i, j) in _walk([_signed(multiples), _signed(grid)], basis.largest, larges[-1] ** 2 - 1):
-        (b1, k), (b2, g) = divmod(i, budget), divmod(j, len(grid))
-        table = table or list(product(range(budget + 1), repeat=exponent_slots))
-        exponents = tuple((n + 1, e) for n, e in enumerate(table[g]) if e)
+    hits = []
+    for value, (i, j) in _walk([_signed(multiples), _signed(grid)], low, high):
+        (b1, k), (b2, option) = divmod(i, budget), divmod(j, len(grid))
+        g = rest = indices[option]
+        digits = []
+        for _ in range(exponent_slots):
+            rest, e = divmod(rest, budget + 1)
+            digits.append(e)
+        exponents = tuple((n, e) for n, e in enumerate(reversed(digits), 1) if e)
         if value <= _extended_window(basis, exponents, k + 1)[1]:
             hits.append(((g, b1, b2, k), value, exponents))
     for (_, b1, b2, k), value, exponents in sorted(hits):

@@ -1,6 +1,10 @@
 """The grid walks that enumerate_certified used before the meet-in-the-middle
 engine: one nested loop per construction, kept as the reference the engine
-must match point for point (tests/test_relation_engine.py)."""
+must match point for point (tests/test_relation_engine.py).
+
+Also the relation1 walk as it was before its power grid was pruned to the
+products that can reach the window: the full grid of
+(budget + 1)**slots products, walked by the same engine."""
 
 from __future__ import annotations
 
@@ -17,6 +21,10 @@ from primekit.relations import (
     Relation2Params,
     Relation3Params,
     _coprime_multipliers,
+    _extended_window,
+    _products,
+    _signed,
+    _walk,
     certificate_window,
     default_partition,
     eval_relation1,
@@ -134,3 +142,36 @@ def _enumerate_relation3(basis: PrimeBasis, budget: int) -> list[CandidateCertif
 
     descend(0, 0)
     return out
+
+
+def _full_power_grid(primes: tuple[int, ...], budget: int) -> list[int]:
+    """Every product of p**e, e in [0, budget], one power per prime, in the
+    order of itertools.product over the exponents, the last prime's fastest."""
+    grid = [1]
+    for p in primes:
+        powers_of_p = [p ** e for e in range(budget + 1)]
+        grid = [value * pe for value in grid for pe in powers_of_p]
+    return grid
+
+
+def _relation1_points_full_grid(construction: str, basis: PrimeBasis, budget: int, exponent_slots: int):
+    """(value, params) of every relation1 point in its extended window, in
+    grid order, walked over the full signed power grid."""
+    if construction == RELATION1_FACTORIAL:
+        lead, make = factorial(isqrt(basis.bound)), Relation1FactorialParams
+    else:
+        lead, make = _products(basis.small_primes)[0], Relation1Params
+    larges = large_primes(basis, exponent_slots + 1)
+    grid = _full_power_grid(larges[:exponent_slots], budget)
+    multiples = [k * lead for k in range(1, budget + 1)]
+    table = list(iter_product(range(budget + 1), repeat=exponent_slots))
+    hits = []
+    for value, (i, j) in _walk([_signed(multiples), _signed(grid)], basis.largest, larges[-1] ** 2 - 1):
+        (b1, k), (b2, g) = divmod(i, budget), divmod(j, len(grid))
+        exponents = tuple((n + 1, e) for n, e in enumerate(table[g]) if e)
+        if value <= _extended_window(basis, exponents, k + 1)[1]:
+            hits.append(((g, b1, b2, k), value, exponents))
+    return [
+        (value, make(basis, Parity.from_int(b1), Parity.from_int(b2), k + 1, exponents))
+        for (_, b1, b2, k), value, exponents in sorted(hits)
+    ]

@@ -345,6 +345,16 @@ class TestRelationCommands:
         assert code == 2
         assert "resource error" in err
 
+    @pytest.mark.parametrize("command", ["rel1", "rel1f"])
+    def test_relation1_cap_counts_the_full_power_grid(self, capsys, command):
+        # the walk only builds the power products that can reach the
+        # window, but the cap still counts every grid point: 4 * 15 * 16**3
+        argv = [command, "--bound", "9408", "--enumerate", "--budget", "15", "--slots", "3"]
+        code, out, err = run_cli(capsys, *argv, "--candidate-cap", "245759")
+        assert (code, out) == (2, "")
+        assert "245760 candidates" in err
+        assert run_cli(capsys, *argv, "--candidate-cap", "245760") == (0, "", "")
+
 
 class TestZscan:
     def test_mersenne_exponents(self, capsys):

@@ -9,9 +9,12 @@ dedup and in multiset mode.
 
 The relation1 forms are also compared at the benchmark's shape: budget 32
 with 2 exponent slots, where the power grid has 2 * 33**2 signed options
-against 64 signed multiples. The walk itself is held to a brute force over
-random terms and windows, and the worked examples' errata search to the
-nested loops.
+against 64 signed multiples. relation1 walks only the power products that
+can reach the window; that pruned grid is held to the full one filtered by
+the same rule (index, value and order), and its walk to the full grid's
+walk at the benchmark's 3-slot, budget-15 shape. The walk itself is held
+to a brute force over random terms and windows, and the worked examples'
+errata search to the nested loops.
 
 In dedup mode each value is evaluated only until one of its grid points
 is accepted; the last tests count those evaluations and hold the skip to
@@ -22,6 +25,7 @@ import dataclasses
 import json
 from collections import Counter
 from itertools import combinations, product
+from math import factorial, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -31,15 +35,19 @@ from brute_force_enumerators import (
     _enumerate_relation1,
     _enumerate_relation2,
     _enumerate_relation3,
+    _full_power_grid,
+    _relation1_points_full_grid,
 )
 from primekit import reference, relations
 from primekit.cli import FORMATS, run
-from primekit.oracle import primes_leq_sqrt
+from primekit.oracle import large_primes, primes_leq_sqrt
 from primekit.relations import (
     RELATION1,
     RELATION1_FACTORIAL,
     RELATION2,
     RELATION3,
+    _reachable_powers,
+    _relation1_points,
     _walk,
     enumerate_certified,
     enumeration_grid_size,
@@ -123,6 +131,69 @@ def test_relation1_at_budget_32_with_two_slots(construction, bound):
     assert _json(enumerate_certified(construction, basis, 32, 2)) == _json(_first_per_value(want))
     if bound == 24:
         assert len(want) >= 30
+
+
+def _filtered(grid, near, far, top):
+    """(index, value) of the full grid's products in [1, near] or [far, top]."""
+    return [(i, g) for i, g in enumerate(grid) if g <= near or far <= g <= top]
+
+
+# (primes, budget, high, lead): high, lead - high and budget * lead + high
+# are all products in the grid, so each inclusive edge is met; in the last
+# two lead <= 2 * high, and the two ranges overlap
+EDGES = [
+    ((3, 5), 5, 5, 80),
+    ((3, 5, 7), 4, 3, 18),
+    ((3,), 6, 3, 4),
+    ((2, 3), 3, 6, 7),
+]
+
+
+@pytest.mark.parametrize("primes, budget, high, lead", EDGES)
+def test_reachable_powers_keep_their_inclusive_edges(primes, budget, high, lead):
+    grid = _full_power_grid(primes, budget)
+    edges = (high, lead - high, budget * lead + high)
+    assert set(edges) <= set(grid)
+    assert set(edges) <= set(_reachable_powers(primes, budget, *edges)[1])
+    # each range one step narrower at each end
+    for near, far, top in (edges, (high - 1, lead - high + 1, budget * lead + high - 1)):
+        got = list(zip(*_reachable_powers(primes, budget, near, far, top)))
+        assert got == _filtered(grid, near, far, top), (near, far, top)
+
+
+@pytest.mark.parametrize("construction", [RELATION1, RELATION1_FACTORIAL])
+def test_reachable_powers_equal_the_filtered_full_grid(construction):
+    # the walk's own arguments, for every basis to bound 528 and two past
+    # the last accepting bound, 0..3 slots and budgets 1..6
+    overlapping = far_kept = 0
+    for bound in BOUNDS + (960, 9408):
+        basis = primes_leq_sqrt(bound)
+        lead = factorial(isqrt(bound)) if construction == RELATION1_FACTORIAL else prod(basis.small_primes)
+        for slots in range(4):
+            larges = large_primes(basis, slots + 1)
+            high = larges[-1] ** 2 - 1
+            for budget in range(1, 7):
+                near, far, top = high, lead - high, budget * lead + high
+                got = list(zip(*_reachable_powers(larges[:slots], budget, near, far, top)))
+                assert got == _filtered(_full_power_grid(larges[:slots], budget), near, far, top), (
+                    bound, slots, budget,
+                )
+                overlapping += far <= near
+                far_kept += any(g > near for _, g in got)
+    assert overlapping and far_kept
+
+
+# the benchmark's 3-slot shape; relation1 also has hits at 120, neither
+# form at 960 or 9408
+@pytest.mark.parametrize("bound", [24, 120, 960, 9408])
+@pytest.mark.parametrize("construction", [RELATION1, RELATION1_FACTORIAL])
+def test_pruned_relation1_walk_matches_the_full_grid(construction, bound):
+    basis = primes_leq_sqrt(bound)
+    want = _relation1_points_full_grid(construction, basis, 15, 3)
+    assert list(_relation1_points(construction, basis, 15, 3)) == want
+    if bound == 24:
+        # hits with each sign pair that can land in the window: all but (-, -)
+        assert len({(p.sign_small, p.sign_large) for _, p in want}) == 3
 
 
 @settings(max_examples=300, deadline=None)
