@@ -55,39 +55,10 @@ from .relations import (
 
 ENV_PREFIX = "PRIMEKIT_"
 FORMATS = ("text", "json", "csv", "jsonl")
-# A layout frames a command's pieces of output: (head, between, tail, empty)
-# is what precedes the first piece, what goes between two pieces, what
-# follows the last, and the whole output when there is no piece (_write).
-# Bigsearch renders each hit from a line template, so its 5-field layout
-# per format is (head, line, between, tail, empty). The sieve's line is
-# split around its one value, so its 6-field layout is (head, before,
-# after, between, tail, empty): a prime's record {"value": str(v)} is
-# before + str(v) + after.
-_VALUE_LAYOUTS = {
-    "text": ("", "", "\n", "", "", ""),
-    "jsonl": ("", '{"value":"', '"}\n', "", "", ""),
-    "csv": ("value\n", "", "\n", "", "", ""),
-    "json": ("[\n", '  {\n    "value": "', '"\n  }', ",\n", "\n]\n", "[]\n"),
-}
-# Bigsearch: a line's fields are {0} seed, {1} k, {2} n, {3} R, {4} R's
-# digit count, {5} the verdict as rendered for the format (_hit_verdict)
-# and {6} elapsed_ms, and it is the hit's record rendered as _write_records
-# renders a record
-_HIT_LAYOUTS = {
-    "text": ("", "n={2} k={1} R={3} {5}\n", "", "", ""),
-    "jsonl": (
-        "",
-        '{{"seed":"{0}","k":"{1}","n":{2},"value":"{3}","digits":{4},"verdict":{5},"elapsed_ms":{6!r}}}\n',
-        "", "", "",
-    ),
-    "csv": ("seed,k,n,value,digits,verdict,elapsed_ms\n", "{0},{1},{2},{3},{4},{5},{6!r}\n", "", "", ""),
-    "json": (
-        "[\n",
-        '  {{\n    "seed": "{0}",\n    "k": "{1}",\n    "n": {2},\n    "value": "{3}",\n'
-        '    "digits": {4},\n    "verdict": {5},\n    "elapsed_ms": {6!r}\n  }}',
-        ",\n", "\n]\n", "[]\n",
-    ),
-}
+# A hit's k, n and elapsed_ms while bigsearch derives its line template:
+# 40-digit runs and a float that a seed, R or verdict would have to repeat
+# by chance (a 10^-40 chance per digit) to be taken for one of them
+_K, _N, _MS = "7" * 20 + "3" * 20, int("5" * 20 + "1" * 20), 0.0123456789
 
 
 @dataclass
@@ -209,7 +180,7 @@ def _parse_int_list(text: str, name: str) -> list[int]:
     if not text:
         return []
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValidationError(f"cannot parse {name} list {text!r}") from None
 
@@ -276,28 +247,36 @@ def _csv_cell(record: dict, key: str):
     return json.dumps(value, separators=(",", ":"))
 
 
+def _renderer(fmt: str, keys: tuple[str, ...] | None = None):
+    """(render, layout) of fmt: render(record, text) is one row's piece of
+    output, the text line, the record as compact JSON, a csv row of `keys`
+    or an element of an indent-2 JSON array, and layout frames the pieces
+    for _write. Every command's output is rendered here."""
+    if fmt == "text":
+        return (lambda record, text: text + "\n"), ("", "", "", "")
+    if fmt == "jsonl":
+        return (lambda record, text: json.dumps(record, separators=(",", ":")) + "\n"), ("", "", "", "")
+    if fmt == "json":
+        return (
+            (lambda record, text: "  " + json.dumps(record, indent=2).replace("\n", "\n  ")),
+            ("[\n", ",\n", "\n]\n", "[]\n"),
+        )
+    return (
+        (lambda record, text: _csv_line([_csv_cell(record, key) for key in keys])),
+        (_csv_line(keys), "", "", ""),
+    )
+
+
 def _write_records(rows, cfg: RunConfig, keys: tuple[str, ...] | None = None) -> None:
-    """Write (record, text, logged) rows through _write, one piece per row:
-    the text line, the record as compact JSON, a csv row, or an element of
-    an indent-2 JSON array. The csv header is `keys` when the caller knows
+    """Write (record, text, logged) rows through _write, one piece per row
+    as _renderer renders it. The csv header is `keys` when the caller knows
     its rows' shape; else it is the union of the records' keys in
     first-seen order, and csv holds every row before its first write."""
-    fmt = cfg.format
-    layout = ("", "", "", "")
-    if fmt == "text":
-        pieces = ((text + "\n", logged) for _, text, logged in rows)
-    elif fmt == "jsonl":
-        pieces = ((json.dumps(record, separators=(",", ":")) + "\n", logged) for record, _, logged in rows)
-    elif fmt == "json":
-        pieces = (("  " + json.dumps(record, indent=2).replace("\n", "\n  "), logged) for record, _, logged in rows)
-        layout = ("[\n", ",\n", "\n]\n", "[]\n")
-    else:
-        if keys is None:
-            rows = list(rows)
-            keys = list(dict.fromkeys(key for record, _, _ in rows for key in record))
-        pieces = ((_csv_line([_csv_cell(record, key) for key in keys]), logged) for record, _, logged in rows)
-        layout = (_csv_line(keys), "", "", "")
-    _write(pieces, layout, cfg)
+    if cfg.format == "csv" and keys is None:
+        rows = list(rows)
+        keys = tuple(dict.fromkeys(key for record, _, _ in rows for key in record))
+    render, layout = _renderer(cfg.format, keys)
+    _write(((render(record, text), logged) for record, text, logged in rows), layout, cfg)
 
 
 def _cmd_sieve(args, cfg: RunConfig) -> int:
@@ -314,15 +293,18 @@ def _cmd_sieve(args, cfg: RunConfig) -> int:
     blocks = prime_blocks(args.bound, include_two=include_two)  # a bound >= 9 keeps 3, 5 and 7
     # one piece per block with a prime: every line of a block shares its
     # prefix, so the lines are the block's suffixes joined by what ends one
-    # line and starts the next; the sieve logs no record, but --log creates
-    # the file as for every command
-    head, before, after, between, tail, empty = _VALUE_LAYOUTS[cfg.format]
+    # line and starts the next, from the record {"value": "0"} split around
+    # its one value; the sieve logs no record, but --log creates the file as
+    # for every command
+    render, layout = _renderer(cfg.format, ("value",))
+    before, after = render({"value": "0"}, "0").split("0")
+    between = after + layout[1] + before
     pieces = (
-        (before + prefix + (after + between + before + prefix).join(suffixes) + after, None)
+        (before + prefix + (between + prefix).join(suffixes) + after, None)
         for prefix, suffixes in blocks
         if suffixes
     )
-    _write(pieces, (head, between, tail, empty), cfg)
+    _write(pieces, layout, cfg)
     return 0
 
 
@@ -484,40 +466,35 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _hit_verdict(verdict: OracleVerdict, fmt: str) -> str:
-    """verdict as _write_records renders it in a bigsearch record in fmt."""
-    if fmt == "text":
-        return verdict.status
-    if fmt == "json":  # nested two levels deep in the indented array
-        return json.dumps(verdict.to_json_dict(), indent=2).replace("\n", "\n    ")
-    compact = json.dumps(verdict.to_json_dict(), separators=(",", ":"))
-    return compact if fmt == "jsonl" else _csv_line([compact])[:-1]
-
-
 def _cmd_bigsearch(args, cfg: RunConfig) -> int:
     """Write each hit as proven_hits proves it, with k in decimal from
-    in_decimal, from one line template per format, byte for byte as
-    _write_records would write the hit's record (a refuted hit stops the
-    run with the hits before it written). elapsed_ms is the time from the
-    start of the search to the hit."""
+    in_decimal, through a line template per distinct R: the hit's record,
+    rendered as _write_records renders it, with k, n and elapsed_ms left
+    open (a refuted hit stops the run with the hits before it written).
+    elapsed_ms is the time from the start of the search to the hit."""
     state = build_state(args.seed, c_digit_cap=cfg.seed_cap_digits)
     began = time.perf_counter()
     hits = in_decimal(state, proven_hits(state, args.max_n, max_hits=args.max_hits, min_n=args.min_n))
-    head, line, between, tail, empty = _HIT_LAYOUTS[cfg.format]
+    keys = ("seed", "k", "n", "value", "digits", "verdict", "elapsed_ms")
+    render, layout = _renderer(cfg.format, keys)
     seed = str(state.seed)
-    fields: dict[int, tuple] = {}  # R: its text, digit count and verdict rendered in cfg.format
+    templates: dict[int, str] = {}
+
+    def template(value: int, verdict: OracleVerdict) -> str:
+        text = str(value)
+        record = dict(zip(keys, (seed, _K, _N, text, len(text), verdict.to_json_dict(), _MS)))
+        line = render(record, f"n={_N} k={_K} R={text} {verdict.status}").replace("{", "{{").replace("}", "}}")
+        return line.replace(_K, "{0}").replace(str(_N), "{1}").replace(repr(_MS), "{2!r}")
 
     def pieces():
         for n, k, value, verdict in hits:
             ms = round((time.perf_counter() - began) * 1000.0, 3)
-            if value not in fields:  # proven_hits gives one verdict per R
-                text = str(value)
-                fields[value] = text, len(text), _hit_verdict(verdict, cfg.format)
-            text, digits, shown = fields[value]
+            if value not in templates:  # proven_hits gives one verdict per R
+                templates[value] = template(value, verdict)
             logged = (BIG_SEARCH, {"seed": seed, "k": k, "n": n}, value, verdict) if cfg.log_path else None
-            yield line.format(seed, k, n, text, digits, shown, ms), logged
+            yield templates[value].format(k, n, ms), logged
 
-    _write(pieces(), (head, between, tail, empty), cfg)
+    _write(pieces(), layout, cfg)
     return 0
 
 
