@@ -65,7 +65,6 @@ _K, _N, _MS = "7" * 20 + "3" * 20, int("5" * 20 + "1" * 20), 0.0123456789
 class RunConfig:
     format: str
     log_path: str | None
-    workers: int
     seed_cap_digits: int
     candidate_cap: int
     paper_faithful: bool
@@ -573,8 +572,7 @@ def _resolve_config(args) -> RunConfig:
     log_path = getattr(args, "log", None)
     if args.command != "verify" and log_path is None:
         log_path = _env("LOG")
-    workers = _resolve_int(args.workers, "WORKERS", 1)
-    if workers < 1:
+    if _resolve_int(args.workers, "WORKERS", 1) < 1:
         raise ValidationError("--workers must be >= 1")
     paper = args.paper_faithful
     if paper is None:
@@ -582,7 +580,6 @@ def _resolve_config(args) -> RunConfig:
     cfg = RunConfig(
         format=fmt,
         log_path=None if args.command == "verify" else log_path,
-        workers=workers,
         seed_cap_digits=_resolve_int(args.seed_cap_digits, "SEED_CAP_DIGITS", DEFAULT_C_DIGIT_CAP),
         candidate_cap=_resolve_int(args.candidate_cap, "CANDIDATE_CAP", DEFAULT_CANDIDATE_CAP),
         paper_faithful=bool(paper),

@@ -55,7 +55,7 @@ _SPP_LADDER = (
 # Below this the oracle only ever answers proven-prime / proven-composite.
 DETERMINISTIC_LIMIT = _SPP_LADDER[-1][0]
 
-DEFAULT_SPP_ROUNDS = 64
+SPP_ROUNDS = 64
 
 _LOOKUP_LIMIT = 1 << 16
 _TRIAL_LIMIT = 1000
@@ -198,11 +198,11 @@ def _smallest_factor(x: int) -> int:
     return x
 
 
-def is_prime(x: int, rounds: int = DEFAULT_SPP_ROUNDS) -> OracleVerdict:
+def is_prime(x: int) -> OracleVerdict:
     """Total primality verdict for x >= 0.
 
     Deterministic (proven-*) below DETERMINISTIC_LIMIT; above it, composites
-    are still proven but survivors are only probable-prime after `rounds`
+    are still proven but survivors are only probable-prime after SPP_ROUNDS
     extra pseudo-random strong-pseudoprime rounds.
     """
     if x < 0:
@@ -234,7 +234,7 @@ def is_prime(x: int, rounds: int = DEFAULT_SPP_ROUNDS) -> OracleVerdict:
         if not _strong_probable_prime(x, base):
             return OracleVerdict(x, PROVEN_COMPOSITE, PROBABILISTIC_SPP, None)
     rng = random.Random(x)  # deterministic per value, reproducible runs
-    for _ in range(rounds):
+    for _ in range(SPP_ROUNDS):
         base = rng.randrange(2, x - 1)
         if not _strong_probable_prime(x, base):
             return OracleVerdict(x, PROVEN_COMPOSITE, PROBABILISTIC_SPP, None)

@@ -16,6 +16,13 @@ Shapes:
   relation3            R = sum over i of +-(product omitting prime i)*k_i,
                            plus +-(full product)*k_last
 
+Relations 2 and 3 are one relation over a split of the basis primes into
+groups: R = sum over the groups g of +-(P/P_g)*k_g, plus +-P*k_last, where
+P_g is the product of group g and no prime of g divides k_g. relation2
+splits the basis into (group2, group1), relation3 into one group per prime
+(_split); one evaluator (_eval_split), one choice of multipliers
+(_split_choices) and one walk setup (_split_walk) serve both.
+
 Enumeration walks one engine for every shape. Each shape is a list of
 terms, each term a list of signed ints: its values with the + sign, then
 with the - sign, each half in the order of its grid keys (multipliers or
@@ -328,22 +335,17 @@ def _extended_window(basis: PrimeBasis, exponents: tuple[tuple[int, int], ...], 
     multiplier must not be divisible by it. Without the multiplier check
     the extension is unsound: basis {2}, K=3, exponents {1: 1} gives
     R = 2*3 + 3 = 9 inside the extended window.
+
+    The sorted sparse exponents are such a prefix exactly when their
+    indices are 1..t, which the last index being t shows, and their
+    exponents do not increase; otherwise only next_prime is walked past.
     """
-    low = basis.largest
-    dense: list[int] = []
-    if exponents:
-        top = max(i for i, _ in exponents)
-        emap = dict(exponents)
-        dense = [emap.get(i, 0) for i in range(1, top + 1)]
-    descending = all(dense[i] >= dense[i + 1] for i in range(len(dense) - 1))
-    first_zero = len(dense) + 1 if descending else 1
-    larges = large_primes(basis, first_zero)
-    effective = 1
-    for i in range(1, first_zero):
-        if multiplier % larges[i - 1] == 0:
-            break
-        effective += 1
-    return low, larges[effective - 1] ** 2 - 1
+    t = len(exponents)
+    if t and (exponents[-1][0] != t or any(a < b for (_, a), (_, b) in zip(exponents, exponents[1:]))):
+        t = 0
+    larges = large_primes(basis, t + 1)
+    stop = next((i for i, p in enumerate(larges[:t]) if multiplier % p == 0), t)
+    return basis.largest, larges[stop] ** 2 - 1
 
 
 @lru_cache(maxsize=1024)
@@ -379,46 +381,31 @@ def eval_relation1_factorial(params: Relation1FactorialParams) -> CandidateCerti
     return _judge(value, RELATION1_FACTORIAL, params, window)
 
 
-def _relation2_constraint_reason(params: Relation2Params) -> str | None:
-    for p in params.group2:
-        if params.k1 % p == 0:
-            return f"constraint violation: k1 divisible by {p}"
-    for p in params.group1:
-        if params.k2 % p == 0:
-            return f"constraint violation: k2 divisible by {p}"
-    return None
+def _eval_split(construction: str, params, groups, signs, ks, check_constraints: bool, violation):
+    """Judge the signed sum over a split of the basis: term g is
+    +-(P/P_g)*k_g and the last term +-P*k_last. Checked, the reason is
+    violation(g, p) for the first prime p of a group g that divides k_g."""
+    value = sum(sign.sign * c * k for sign, c, k in zip(signs, _split_coefficients(groups), ks))
+    broken = check_constraints and [
+        (g, p) for g, (group, k) in enumerate(zip(groups, ks)) for p in group if k % p == 0
+    ]
+    reason = f"constraint violation: {violation(*broken[0])}" if broken else None
+    window = certificate_window(params.basis)
+    return _judge(value, construction, params, window, reason, certified=check_constraints)
 
 
 def eval_relation2(params: Relation2Params, check_constraints: bool = True) -> CandidateCertificate:
-    p1, p2 = _products(params.group1)[0], _products(params.group2)[0]
-    value = (
-        params.sign1.sign * p1 * params.k1
-        + params.sign2.sign * p2 * params.k2
-        + params.sign3.sign * p1 * p2 * params.k3
+    groups = _split(RELATION2, params.basis, (params.group1, params.group2))
+    signs, ks = (params.sign1, params.sign2, params.sign3), (params.k1, params.k2, params.k3)
+    return _eval_split(
+        RELATION2, params, groups, signs, ks, check_constraints, lambda g, p: f"k{g + 1} divisible by {p}"
     )
-    reason = _relation2_constraint_reason(params) if check_constraints else None
-    return _judge(
-        value, RELATION2, params, certificate_window(params.basis), reason,
-        certified=check_constraints,
-    )
-
-
-def _relation3_constraint_reason(params: Relation3Params) -> str | None:
-    for prime, k in zip(params.basis.small_primes, params.multipliers):
-        if k % prime == 0:
-            return f"constraint violation: multiplier for {prime} divisible by {prime}"
-    return None
 
 
 def eval_relation3(params: Relation3Params, check_constraints: bool = True) -> CandidateCertificate:
-    full, cofactors = _products(params.basis.small_primes)
-    value = 0
-    for sign, cofactor, k in zip(params.signs, cofactors + (full,), params.multipliers):
-        value += sign.sign * cofactor * k
-    reason = _relation3_constraint_reason(params) if check_constraints else None
-    return _judge(
-        value, RELATION3, params, certificate_window(params.basis), reason,
-        certified=check_constraints,
+    return _eval_split(
+        RELATION3, params, _split(RELATION3, params.basis), params.signs, params.multipliers,
+        check_constraints, lambda g, p: f"multiplier for {p} divisible by {p}",
     )
 
 
@@ -430,8 +417,31 @@ def default_partition(basis: PrimeBasis) -> tuple[tuple[int, ...], tuple[int, ..
     return basis.small_primes[0::2], basis.small_primes[1::2]
 
 
+def _split(construction: str, basis: PrimeBasis, partition=None) -> tuple[tuple[int, ...], ...]:
+    """The groups of basis primes, one per term, of relation2 (k1 avoids
+    group2, k2 group1) or relation3 (one group per basis prime)."""
+    if construction == RELATION2:
+        group1, group2 = partition or default_partition(basis)
+        return group2, group1
+    if construction == RELATION3:
+        return tuple((p,) for p in basis.small_primes)
+    raise ValidationError(f"unknown construction {construction!r}")
+
+
+def _split_coefficients(groups) -> tuple[int, ...]:
+    """P/P_g for each group g of a split, then P: its terms' coefficients."""
+    full, cofactors = _products(tuple(map(prod, groups)))
+    return cofactors + (full,)
+
+
 def _coprime_multipliers(budget: int, primes: tuple[int, ...]) -> list[int]:
     return [k for k in range(1, budget + 1) if all(k % p for p in primes)]
+
+
+def _split_choices(groups, budget: int) -> list:
+    """Each term's multipliers: the k in [1, budget] that no prime of its
+    group divides, then k in [0, budget] for the last term, P*k."""
+    return [_coprime_multipliers(budget, group) for group in groups] + [range(budget + 1)]
 
 
 def enumeration_grid_size(
@@ -446,21 +456,11 @@ def enumeration_grid_size(
         raise ValidationError("budget must be >= 0")
     if exponent_slots < 0:
         raise ValidationError("exponent slots must be >= 0")
-    if budget == 0:
+    if budget == 0:  # before any split: a one-prime basis has no relation2 split
         return 0
     if construction in (RELATION1, RELATION1_FACTORIAL):
         return 4 * budget * (budget + 1) ** exponent_slots
-    if construction == RELATION2:
-        group1, group2 = partition or default_partition(basis)
-        k1s = len(_coprime_multipliers(budget, group2))
-        k2s = len(_coprime_multipliers(budget, group1))
-        return 8 * k1s * k2s * (budget + 1)
-    if construction == RELATION3:
-        size = 2 * (budget + 1)
-        for prime in basis.small_primes:
-            size *= 2 * len(_coprime_multipliers(budget, (prime,)))
-        return size
-    raise ValidationError(f"unknown construction {construction!r}")
+    return prod(2 * len(ks) for ks in _split_choices(_split(construction, basis, partition), budget))
 
 
 def enumerate_certified(
@@ -533,11 +533,6 @@ def _signed(values: list[int]) -> list[int]:
     """A term's options: each value with the + sign, then each with the -
     sign, so option i has parity i // len(values) and choice i % len(values)."""
     return values + [-value for value in values]
-
-
-def _choice_table(ks) -> list[tuple[Parity, int]]:
-    """(parity, k) of each option of the term _signed builds from ks."""
-    return [(parity, k) for parity in (Parity.EVEN, Parity.ODD) for k in ks]
 
 
 def _sums(terms) -> list[int]:
@@ -648,6 +643,16 @@ def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponen
             yield value, make(basis, Parity.from_int(b1), Parity.from_int(b2), k + 1, exponents)
 
 
+def _split_walk(basis: PrimeBasis, groups, budget: int):
+    """The walk over a split's terms, +-(P/P_g)*k_g for each group g and
+    then +-P*k_last: its window hits as (sum, option indices) in grid
+    order, and each term's (parity, k) table for reading them back."""
+    choices = _split_choices(groups, budget)
+    terms = [_signed([c * k for k in ks]) for c, ks in zip(_split_coefficients(groups), choices)]
+    tables = [[(parity, k) for parity in (Parity.EVEN, Parity.ODD) for k in ks] for ks in choices]
+    return _walk(terms, *certificate_window(basis)), tables
+
+
 def _relation2_points(
     basis: PrimeBasis,
     budget: int,
@@ -659,21 +664,11 @@ def _relation2_points(
     then the three multipliers); the terms are +-P1*k1, +-P2*k2 and
     +-P1*P2*k3."""
     group1, group2 = partition or default_partition(basis)
-    p1, p2 = _products(group1)[0], _products(group2)[0]
-    choices = (
-        _coprime_multipliers(budget, group2),
-        _coprime_multipliers(budget, group1),
-        range(budget + 1),
-    )
-    terms = [_signed([p * k for k in ks]) for p, ks in zip((p1, p2, p1 * p2), choices)]
+    walk, tables = _split_walk(basis, _split(RELATION2, basis, (group1, group2)), budget)
     # option i of a term is odd-signed when i >= len(ks); with the signs
     # fixed, the order of the indices is the order of the multipliers
-    sizes = [len(ks) for ks in choices]
-    hits = sorted(
-        (tuple(map(ge, indices, sizes)), indices, value)
-        for value, indices in _walk(terms, *certificate_window(basis))
-    )
-    tables = [_choice_table(ks) for ks in choices]
+    sizes = [len(table) // 2 for table in tables]
+    hits = sorted((tuple(map(ge, indices, sizes)), indices, value) for value, indices in walk)
     for _, indices, value in hits:
         if value not in skip:
             signs, ks = zip(*map(list.__getitem__, tables, indices))
@@ -684,12 +679,8 @@ def _relation3_points(basis: PrimeBasis, budget: int, skip=()):
     """(value, params) for each relation3 point in the window whose value
     is not in `skip` when it is reached, in grid order; the terms are
     +-(P/p)*k_p for each basis prime p, then +-P*k_last."""
-    full, cofactors = _products(basis.small_primes)
-    choices = [_coprime_multipliers(budget, (p,)) for p in basis.small_primes]
-    choices.append(range(budget + 1))
-    terms = [_signed([c * k for k in ks]) for c, ks in zip(cofactors + (full,), choices)]
-    tables = [_choice_table(ks) for ks in choices]
-    for value, indices in _walk(terms, *certificate_window(basis)):
+    walk, tables = _split_walk(basis, _split(RELATION3, basis), budget)
+    for value, indices in walk:
         if value not in skip:
             signs, ks = zip(*map(list.__getitem__, tables, indices))
             yield value, Relation3Params(basis, signs, ks)

@@ -302,6 +302,13 @@ class TestRelationCommands:
         )
         assert code == 1 and out == "" and "missing required flag --s1" in err
 
+    def test_rel2_enumerate_over_a_one_prime_basis(self, capsys):
+        # an empty grid is settled before any split is built; a nonempty one
+        # needs the two groups that a one-prime basis cannot give
+        assert run_cli(capsys, "rel2", "--bound", "8", "--enumerate", "--budget", "0") == (0, "", "")
+        code, out, err = run_cli(capsys, "rel2", "--bound", "8", "--enumerate", "--budget", "1")
+        assert code == 1 and out == "" and "two basis primes" in err
+
     @pytest.mark.parametrize("bound", ["48", "10000"])
     def test_enumerate_with_a_partial_split_exit_one(self, capsys, bound):
         # 2 and 3 leave basis primes out; at 48 a grid point lands in the

@@ -1,5 +1,7 @@
 import json
+from itertools import combinations
 from itertools import product as iter_product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,13 @@ class TestRelation2:
         assert not cert.accepted
         assert "k1 divisible by 3" in cert.reason
 
+    def test_constraint_names_the_first_group_prime_of_the_first_broken_term(self):
+        # 15 breaks k1 by 3 and 5, 14 breaks k2 by 2 and 7; the groups are
+        # passed unsorted and read in sorted order
+        for k1, k2, reason in ((15, 14, "k1 divisible by 3"), (1, 14, "k2 divisible by 2")):
+            params = Relation2Params(BASIS_119, (7, 2), (5, 3), E, E, E, k1, k2, 0)
+            assert eval_relation2(params).reason == f"constraint violation: {reason}"
+
     def test_constraint_is_necessary(self):
         # dropping the k2 constraint admits 14 + 15*7 = 119 = 7*17
         params = Relation2Params(BASIS_119, (2, 7), (3, 5), E, E, E, 1, 7, 0)
@@ -350,6 +359,43 @@ class TestEnumerate:
         got = {c.value for c in enumerate_certified("relation1", basis, budget, exponent_slots=slots)}
         assert got == expected
         assert count == enumeration_grid_size("relation1", basis, budget, slots)
+
+    @pytest.mark.parametrize("budget", range(7))
+    def test_grid_size_counts_the_loops_of_relations_2_and_3(self, budget):
+        # every prime basis up to bound 528, relation2 over every ordered
+        # partition; a multiplier must be coprime to its term's group
+        def ks(group):
+            return [k for k in range(1, budget + 1) if gcd(k, prod(group)) == 1]
+
+        for bound in (8, 9, 25, 49, 121, 169, 289, 361, 528):
+            basis = primes_leq_sqrt(bound)
+            primes = basis.small_primes
+            for size in range(1, len(primes)):
+                for group1 in combinations(primes, size):
+                    group2 = tuple(p for p in primes if p not in group1)
+                    count = 0
+                    for _signs in iter_product((E, O), repeat=3):
+                        for _k1 in ks(group2):
+                            for _k2 in ks(group1):
+                                for _k3 in range(budget + 1):
+                                    count += 1
+                    partition = (group1, group2)
+                    assert enumeration_grid_size("relation2", basis, budget, partition=partition) == count
+
+            # relation3's nested loops, one per term: each loop adds, for
+            # each of its signs and multipliers, the count of the loops
+            # inside it, which is the same for every option it loops over
+            inner = 0
+            for _sign in (E, O):
+                for _k in range(budget + 1):
+                    inner += 1
+            for p in reversed(primes):
+                count = 0
+                for _sign in (E, O):
+                    for _k in ks((p,)):
+                        count += inner
+                inner = count
+            assert enumeration_grid_size("relation3", basis, budget) == inner
 
     def test_matches_brute_force_relation2(self):
         basis = primes_leq_sqrt(119)
