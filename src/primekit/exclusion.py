@@ -11,14 +11,22 @@ prime or keeps a composite.
 
 The mask is struck in one pass and then read out as decimal text, one
 block of 10^4 integers (5,000 K's) at a time (prime_blocks), so a caller
-can write the first primes before the last are read out. Every odd R of
-block q >= 1 is str(q) followed by a 4-digit zero-padded suffix, so a
-block's primes are its prefix and the suffixes its mask keeps, picked
-from one cached table (block 0's from the same table without leading
-zeros): no int is made and nothing is formatted per K. Memory is the
-mask, one block and the suffix tables. This is the segmented output of
-Bays & Hudson, BIT 17 (1977). primes_below and primes_below_next_square
-return lists of ints, which they read straight from the same mask.
+can write the first primes before the last are read out. The read-out
+turns a mod-30 wheel (Pritchard, Acta Informatica 17, 1982): of every 15
+K's, the 7 whose R is a multiple of 3 or 5 are never read, so 3 and 5
+take effect because their K's are never read, not by a strike, and are
+written ahead of block 0's primes. Each super-block of three blocks
+(30,000 integers, 1,000 turns of the wheel) is gathered, when its first
+block is asked for, by eight strided copies into one reused buffer of
+the 8,000 K's whose R is coprime to 30, and each of its blocks reads its
+slice of that buffer. Every odd R of block q >= 1 is str(q) followed by
+a 4-digit zero-padded suffix, so a block's primes are its prefix and the
+suffixes its slice keeps, picked from a cached table for its phase,
+q mod 3 (block 0's without leading zeros): no int is made and nothing is
+formatted per K. Memory is the mask, one 8,000-byte wheel buffer and
+the tables. This is the segmented output of Bays & Hudson, BIT 17
+(1977). primes_below and primes_below_next_square read the same wheel
+into lists of ints.
 """
 
 from __future__ import annotations
@@ -40,6 +48,14 @@ DENSE_BOUND_MAX = 1 << 31
 # 8 KiB block of a buffered stdout
 BLOCK = 10 ** 4
 BLOCK_K = BLOCK // 2
+# K's per super-block: three blocks, or 1,000 turns of the mod-30 wheel
+# (15 K's a turn). _CLASSES are the K's of a turn whose R = 2K+1 is
+# coprime to 30 (R = 1, 7, 11, 13, 17, 19, 23, 29 mod 30); the wheel reads
+# WHEEL_K of them per super-block, and _CUTS splits those into its blocks
+SUPER_K = 3 * BLOCK_K
+_CLASSES = tuple(c for c in range(15) if (2 * c + 1) % 3 and (2 * c + 1) % 5)
+WHEEL_K = SUPER_K // 15 * len(_CLASSES)
+_CUTS = tuple(sum(len(range(c, p * BLOCK_K, 15)) for c in _CLASSES) for p in range(4))
 
 
 @dataclass(frozen=True)
@@ -90,40 +106,78 @@ def excluded_k(spec: ExclusionSpec, prime_index: int) -> list[int]:
 
 
 def _strike(bound: int, odd_primes: tuple[int, ...]) -> bytearray:
-    """keep[K] is 1 exactly when R = 2K+1 < bound is admissible."""
-    k_max = (bound - 2) // 2  # largest K with R = 2K+1 < bound
-    keep = bytearray(b"\x01") * (k_max + 1)
+    """keep[K] for R = 2K+1 < bound is 0 when R is 1 or a multiple of an
+    odd prime in odd_primes from 7 up (its square and above). 3 and 5
+    strike nothing: the wheel never reads their K's."""
+    size = bound // 2  # K's with R = 2K+1 < bound
+    keep = bytearray(b"\x01") * size
     keep[0] = 0  # K = 0 is R = 1
     for p in odd_primes:
-        first = (p * p - 1) // 2  # m = (p-1)/2, i.e. R = p*p
-        if first <= k_max:
-            keep[first :: p] = bytes(len(range(first, k_max + 1, p)))
+        if p > 5:
+            first = (p * p - 1) // 2  # m = (p-1)/2, i.e. R = p*p
+            keep[first::p] = bytes(len(range(first, size, p)))
     return keep
 
 
+def _gather(out, table, base: int = 0) -> int:
+    """Set out[8*i + j] to table[base + 15*i + _CLASSES[j]] over one
+    super-block, stopping where table ends: its entries whose R is coprime
+    to 30, in order. Returns how many it set."""
+    read = 0
+    for j, c in enumerate(_CLASSES):
+        part = table[base + c : base + SUPER_K : 15]
+        out[j : 8 * len(part) : 8] = part
+        read += len(part)
+    return read
+
+
+def _wheels(keep: bytearray) -> Iterator[bytearray]:
+    """The wheel of each super-block of keep, gathered as it is asked for
+    into one reused WHEEL_K-byte buffer; the last is cut where keep ends."""
+    wheel = bytearray(WHEEL_K)
+    for base in range(0, len(keep), SUPER_K):
+        read = _gather(wheel, keep, base)
+        yield wheel if read == WHEEL_K else wheel[:read]
+
+
+def _wheel_order(table) -> list:
+    """The wheel's entries of a SUPER_K-entry table in K order."""
+    out = [None] * WHEEL_K
+    _gather(out, table)
+    return out
+
+
 @cache
-def _suffixes() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The odd R of a block in K order as the text after its prefix: 4
-    digits, '0001' to '9999', and for block 0 the same without leading
-    zeros, '1' to '9999'. Built from digit strings at the first call."""
+def _tables() -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...], tuple[int, ...]]:
+    """What the wheel's entries read out as: block 0's suffixes without
+    leading zeros, each phase's 4-digit suffixes (block q's phase is q mod 3)
+    and R mod 2*SUPER_K. Built from digit strings and strided slices at the
+    first call."""
     digits = "0123456789"
     pairs = [a + b for a in digits for b in digits]
     odd_pairs = [a + b for a in digits for b in "13579"]
-    padded = tuple([x + y for x in pairs for y in odd_pairs])
-    return padded, tuple([s.lstrip("0") for s in padded[:500]]) + padded[500:]  # 500 odd R < 1000
+    padded = [x + y for x in pairs for y in odd_pairs]  # a block's odd R in K order: '0001' to '9999'
+    plain = [s.lstrip("0") for s in padded[:500]] + padded[500:]  # 500 odd R < 1000
+    ordered = _wheel_order(padded * 3)
+    phases = tuple(tuple(ordered[lo:hi]) for lo, hi in zip(_CUTS, _CUTS[1:]))
+    first = tuple(_wheel_order(plain + padded * 2)[: _CUTS[1]])
+    return first, phases, tuple(_wheel_order(range(1, 2 * SUPER_K, 2)))
 
 
-def _blocks(keep: bytearray, include_two: bool) -> Iterator[tuple[str, list[str]]]:
-    """(prefix, suffixes) per BLOCK integers, the suffixes those of the
-    admissible K: block q >= 1 has prefix str(q) and 4-digit suffixes,
-    block 0 an empty prefix and plain suffixes (2 first when included).
+def _text_blocks(wheels: Iterator[bytearray], n_blocks: int, include_two: bool) -> Iterator[tuple[str, list[str]]]:
+    """(prefix, suffixes) for the first n_blocks blocks the wheels read:
+    block q >= 1 has prefix str(q) and 4-digit suffixes, block 0 an empty
+    prefix and plain suffixes, 3 and 5 first (2 before them when included).
     A list may be empty."""
-    padded, plain = _suffixes()
-    first = list(compress(plain, keep[:BLOCK_K]))
-    yield "", ["2", *first] if include_two else first
-    for q in range(1, -(-len(keep) // BLOCK_K)):
-        lo = q * BLOCK_K
-        yield str(q), list(compress(padded, keep[lo : lo + BLOCK_K]))
+    first, phases, _ = _tables()
+    wheel = next(wheels)
+    head = ["2", "3", "5"] if include_two else ["3", "5"]
+    yield "", head + list(compress(first, wheel[: _CUTS[1]]))
+    for q in range(1, n_blocks):
+        phase = q % 3
+        if not phase:
+            wheel = next(wheels)
+        yield str(q), list(compress(phases[phase], wheel[_CUTS[phase] : _CUTS[phase + 1]]))
 
 
 def _check_cap(bound: int) -> None:
@@ -148,19 +202,24 @@ def prime_blocks(bound: int, include_two: bool = True) -> Iterator[tuple[str, li
     (prefix, suffixes) per BLOCK integers: each prime is prefix + suffix.
     The bound is checked and the mask struck at the call; the blocks are
     read out as they are asked for."""
-    return _blocks(_strike(bound, _basis(bound).odd_primes), include_two)
+    wheels = _wheels(_strike(bound, _basis(bound).odd_primes))
+    return _text_blocks(wheels, -(-(bound // 2) // BLOCK_K), include_two)
 
 
-def _values(keep: bytearray, include_two: bool) -> list[int]:
-    """The R = 2K+1 of the admissible K, as ints in order (2 first when
-    included)."""
-    odd = compress(range(1, 2 * len(keep), 2), keep)
-    return [2, *odd] if include_two else list(odd)
+def _ints(wheels: Iterator[bytearray], include_two: bool) -> list[int]:
+    """The primes the wheels read, as ints in order: 3 and 5 (2 first when
+    included), then the R = 2K+1 of each admissible K."""
+    offsets = _tables()[2]
+    out = [2, 3, 5] if include_two else [3, 5]
+    for s, wheel in enumerate(wheels):
+        found = compress(offsets, wheel)
+        out += map((2 * SUPER_K * s).__add__, found) if s else found
+    return out
 
 
 def primes_below(bound: int, include_two: bool = True) -> list[int]:
     """All primes below `bound` as 2K+1 over admissible K (plus 2 on request)."""
-    return _values(_strike(bound, _basis(bound).odd_primes), include_two)
+    return _ints(_wheels(_strike(bound, _basis(bound).odd_primes)), include_two)
 
 
 def primes_below_next_square(basis: PrimeBasis, include_two: bool = True) -> list[int]:
@@ -171,4 +230,4 @@ def primes_below_next_square(basis: PrimeBasis, include_two: bool = True) -> lis
     """
     bound = basis.next_prime ** 2 - 1
     _check_cap(bound)
-    return _values(_strike(bound, basis.odd_primes), include_two)
+    return _ints(_wheels(_strike(bound, basis.odd_primes)), include_two)

@@ -1,5 +1,6 @@
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,7 +9,9 @@ from primekit.errors import ResourceLimitError, ValidationError
 from primekit.exclusion import (
     BLOCK,
     BLOCK_K,
+    SUPER_K,
     ExclusionSpec,
+    _tables,
     excluded_k,
     prime_blocks,
     primes_below,
@@ -98,10 +101,11 @@ class TestPrimesBelow:
             assert primes_below(bound) == expected, bound
             assert primes_below(bound, include_two=False) == expected[1:], bound
 
-    @pytest.mark.parametrize("q", [1, 2, 10, 100])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 10, 30, 31, 32, 100])
     def test_blocks_hold_the_oracle_primes_of_their_integers(self, q):
         # bounds BLOCK*q + {-1, 0, 1, 2}: the last block is whole, or holds
-        # one K or two; the prefix gains a digit at 10^5 and 10^6. Block i is
+        # one K or two; the prefix gains a digit at 10^5 and 10^6, and the
+        # edge falls in every phase of the wheel (q mod 3). Block i is
         # str(i) (empty for 0) and the suffixes that spell, digit for digit,
         # the primes in [BLOCK*i, BLOCK*(i+1)) below the bound
         reference = sieve_primes_below(BLOCK * q + 2)
@@ -120,6 +124,31 @@ class TestPrimesBelow:
                     # its last block is the one K of BLOCK*q + 1, a composite
                     # for every q here, and yields no suffix
                     assert blocks[-1] == (str(q), []), bound
+
+    @pytest.mark.parametrize("m", [1, 2, 10])
+    def test_super_block_edges_equal_oracle_sieve(self, m):
+        # bounds 2*SUPER_K*m + {-1, 0, 1, 2}: the last super-block the wheel
+        # reads is whole, or is cut after one K or two
+        reference = sieve_primes_below(2 * SUPER_K * m + 2)
+        for bound in range(2 * SUPER_K * m - 1, 2 * SUPER_K * m + 3):
+            expected = reference[: bisect_left(reference, bound)]
+            for include_two in (True, False):
+                want = expected if include_two else expected[1:]
+                assert primes_below(bound, include_two) == want, bound
+                blocks = prime_blocks(bound, include_two)
+                assert [int(prefix + suffix) for prefix, suffixes in blocks for suffix in suffixes] == want, bound
+
+    def test_wheel_tables_equal_the_digits_of_each_r(self):
+        # slow path: each entry built alone from str(R), for every R in
+        # [0, 2*SUPER_K) coprime to 30, in order; block 0 reads plain
+        # suffixes, every block of phase q mod 3 the 4-digit ones
+        first, phases, offsets = _tables()
+        coprime = [r for r in range(2 * SUPER_K) if gcd(r, 30) == 1]
+        assert list(offsets) == coprime
+        assert list(first) == [str(r) for r in coprime if r < BLOCK]
+        assert len(phases) == 3
+        for phase, table in enumerate(phases):
+            assert list(table) == [str(r % BLOCK).zfill(4) for r in coprime if r // BLOCK == phase], phase
 
     @pytest.mark.parametrize("bound", [16385, 16386, 16387])
     def test_spans_cover_their_k_ranges(self, bound):
