@@ -41,16 +41,12 @@ from .relations import (
     RELATION1_FACTORIAL,
     RELATION2,
     RELATION3,
-    Parity,
     Relation1FactorialParams,
     Relation1Params,
     Relation2Params,
     Relation3Params,
     enumerate_certified,
-    eval_relation1,
-    eval_relation1_factorial,
-    eval_relation2,
-    eval_relation3,
+    evaluator,
 )
 
 ENV_PREFIX = "PRIMEKIT_"
@@ -59,6 +55,13 @@ FORMATS = ("text", "json", "csv", "jsonl")
 # 40-digit runs and a float that a seed, R or verdict would have to repeat
 # by chance (a 10^-40 chance per digit) to be taken for one of them
 _K, _N, _MS = "7" * 20 + "3" * 20, int("5" * 20 + "1" * 20), 0.0123456789
+# each relation subcommand's construction, params class and worked examples
+_RELATIONS = {
+    "rel1": (RELATION1, Relation1Params, relation1_report),
+    "rel1f": (RELATION1_FACTORIAL, Relation1FactorialParams, None),
+    "rel2": (RELATION2, Relation2Params, relation2_report),
+    "rel3": (RELATION3, Relation3Params, relation3_report),
+}
 
 
 @dataclass
@@ -120,7 +123,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-skip", action="store_true",
                    help="evaluate provably-composite grid points too")
 
-    for name in ("rel1", "rel1f", "rel2", "rel3"):
+    for name, (_, params, report) in _RELATIONS.items():
         p = sub.add_parser(name, parents=[core, logp], help=f"{name} certificate construction")
         p.add_argument("--bound", type=int, required=True)
         p.add_argument("--enumerate", action="store_true")
@@ -129,26 +132,13 @@ def _build_parser() -> _Parser:
                        help="with --enumerate, judge every window hit and keep duplicate "
                             "values (by default each value is evaluated and oracle-checked "
                             "once, at its first accepted grid point)")
+        for key, _, _, read, flag in params.FIELDS:
+            if read:
+                p.add_argument("--" + key, **flag)
         if name in ("rel1", "rel1f"):
-            p.add_argument("--b1")
-            p.add_argument("--b2")
-            p.add_argument("--k" if name == "rel1" else "--k1", type=int)
-            p.add_argument("--m", default="", help="comma list of exponents m1,m2,...")
             p.add_argument("--slots", type=int, default=2,
                            help="exponent positions covered by --enumerate")
-        if name == "rel2":
-            p.add_argument("--s1", help="comma list: first prime group")
-            p.add_argument("--s2", help="comma list: second prime group")
-            p.add_argument("--b1")
-            p.add_argument("--b2")
-            p.add_argument("--b3", default="2")
-            p.add_argument("--k1", type=int)
-            p.add_argument("--k2", type=int)
-            p.add_argument("--k3", type=int, default=0)
-        if name == "rel3":
-            p.add_argument("--b", help="comma list of n or n+1 sign exponents")
-            p.add_argument("--k", help="comma list of n or n+1 multipliers")
-        if name != "rel1f":
+        if report:
             p.add_argument("--worked-examples", action="store_true",
                            help="evaluate the published reference columns (bound 119)")
 
@@ -173,21 +163,6 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
         return value, value
     except ValueError:
         raise ValidationError(f"cannot parse {name} range {text!r}; use LO..HI") from None
-
-
-def _parse_int_list(text: str, name: str) -> list[int]:
-    if not text:
-        return []
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ValidationError(f"cannot parse {name} list {text!r}") from None
-
-
-def _parse_parity(text: str | None, name: str) -> Parity:
-    if text is None:
-        raise ValidationError(f"missing required sign flag --{name}")
-    return Parity.parse(text)
 
 
 def _write_log(log_file, construction: str, params: dict, value: int, verdict: OracleVerdict) -> None:
@@ -333,18 +308,6 @@ def _zscan_row(r):
     return record, line, ("general-mersenne", params, r.value, r.verdict)
 
 
-def _require(args, flag: str):
-    value = getattr(args, flag)
-    if value is None:
-        raise ValidationError(f"missing required flag --{flag}")
-    return value
-
-
-def _exponent_map(args) -> tuple[tuple[int, int], ...]:
-    dense = _parse_int_list(args.m, "m")
-    return tuple((i + 1, e) for i, e in enumerate(dense) if e)
-
-
 def _certificate_row(cert):
     record = cert.to_json_dict()
     if cert.accepted:
@@ -382,34 +345,20 @@ def _worked_example_rows(reports, paper_faithful: bool) -> list[tuple]:
 
 
 def _cmd_relation(args, cfg: RunConfig) -> int:
-    name = args.command
-    construction = {
-        "rel1": RELATION1,
-        "rel1f": RELATION1_FACTORIAL,
-        "rel2": RELATION2,
-        "rel3": RELATION3,
-    }[name]
-
+    construction, params, report = _RELATIONS[args.command]
     if getattr(args, "worked_examples", False):
-        reports = {
-            "rel1": relation1_report,
-            "rel2": relation2_report,
-            "rel3": relation3_report,
-        }[name]()
-        _write_records(_worked_example_rows(reports, cfg.paper_faithful), cfg)
+        _write_records(_worked_example_rows(report(), cfg.paper_faithful), cfg)
         return 0
 
     basis = primes_leq_sqrt(args.bound)
-
+    # each field's reader, called in field order, so the first bad flag is reported
+    readers = [(key, attr, read) for key, attr, _, read, _ in params.FIELDS if read]
     if args.enumerate:
         if args.budget is None:
             raise ValidationError("--enumerate needs --budget")
         partition = None
-        if name == "rel2" and (args.s1 is not None or args.s2 is not None):
-            partition = (
-                tuple(_parse_int_list(_require(args, "s1"), "s1")),
-                tuple(_parse_int_list(_require(args, "s2"), "s2")),
-            )
+        if construction == RELATION2 and (args.s1 is not None or args.s2 is not None):
+            partition = tuple(read(getattr(args, key), key) for key, _, read in readers if key in ("s1", "s2"))
         certs = enumerate_certified(
             construction,
             basis,
@@ -419,47 +368,9 @@ def _cmd_relation(args, cfg: RunConfig) -> int:
             candidate_cap=cfg.candidate_cap,
             verbose=args.multiset,
         )
-    elif name == "rel1":
-        params = Relation1Params(
-            basis,
-            _parse_parity(args.b1, "b1"),
-            _parse_parity(args.b2, "b2"),
-            _require(args, "k"),
-            _exponent_map(args),
-        )
-        certs = [eval_relation1(params)]
-    elif name == "rel1f":
-        params = Relation1FactorialParams(
-            basis,
-            _parse_parity(args.b1, "b1"),
-            _parse_parity(args.b2, "b2"),
-            _require(args, "k1"),
-            _exponent_map(args),
-        )
-        certs = [eval_relation1_factorial(params)]
-    elif name == "rel2":
-        params = Relation2Params(
-            basis,
-            tuple(_parse_int_list(_require(args, "s1"), "s1")),
-            tuple(_parse_int_list(_require(args, "s2"), "s2")),
-            _parse_parity(args.b1, "b1"),
-            _parse_parity(args.b2, "b2"),
-            _parse_parity(args.b3, "b3"),
-            _require(args, "k1"),
-            _require(args, "k2"),
-            args.k3,
-        )
-        certs = [eval_relation2(params)]
     else:
-        signs = [Parity.parse(tok) for tok in _require(args, "b").split(",")]
-        ks = _parse_int_list(_require(args, "k"), "k")
-        n = len(basis.small_primes)
-        if len(signs) == n:
-            signs.append(Parity.EVEN)
-        if len(ks) == n:
-            ks.append(0)
-        params = Relation3Params(basis, tuple(signs), tuple(ks))
-        certs = [eval_relation3(params)]
+        values = {attr: read(getattr(args, key), key) for key, attr, read in readers}
+        certs = [evaluator(construction)(params(basis, **values))]
 
     _write_records(map(_certificate_row, certs), cfg)
     return 0

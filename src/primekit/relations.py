@@ -96,6 +96,66 @@ class Parity(enum.Enum):
         return Parity.ODD if self is Parity.EVEN else Parity.EVEN
 
 
+def _given(value, key: str, what: str = "flag"):
+    if value is None:
+        raise ValidationError(f"missing required {what} --{key}")
+    return value
+
+
+def _parse_int_list(text: str, key: str) -> list[int]:
+    if not text:
+        return []
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"cannot parse {key} list {text!r}") from None
+
+
+def _read_sign(text, key: str) -> Parity:
+    return Parity.parse(_given(text, key, "sign flag"))
+
+
+def _read_signs(text, key: str) -> tuple[Parity, ...]:
+    return tuple(Parity.parse(tok) for tok in _given(text, key).split(","))
+
+
+def _read_ints(text, key: str) -> tuple[int, ...]:
+    return tuple(_parse_int_list(_given(text, key), key))
+
+
+def _read_exponents(text, key: str) -> tuple[tuple[int, int], ...]:
+    """The dense comma list m1,m2,... as its nonzero (index, exponent) pairs."""
+    return tuple((i, e) for i, e in enumerate(_parse_int_list(text, key), 1) if e)
+
+
+def _strs(values) -> list[str]:
+    return [str(v) for v in values]
+
+
+# A params class's FIELDS, in the order of its JSON record and of its
+# subcommand's flags, are (key, attribute, render, read, flag keywords):
+# the record's key, which is also the flag --key; the attribute the field
+# fills; how the attribute is written to JSON; and, for a field set from
+# the command line, how the flag's text is read (an int for a type=int
+# flag, None when the flag is left out) and the flag's add_argument
+# keywords. A field only written to JSON has no reader.
+_BOUND = ("bound", "basis", lambda basis: str(basis.bound), None, None)
+_BASIS = ("basis", "basis", lambda basis: _strs(basis.small_primes), None, None)
+_SIGN = attrgetter("value")
+_B1 = ("b1", "sign_small", _SIGN, _read_sign, {})
+_B2 = ("b2", "sign_large", _SIGN, _read_sign, {})
+_M = ("m", "large_exponents", lambda m: {str(i): e for i, e in m}, _read_exponents,
+      {"default": "", "help": "comma list of exponents m1,m2,..."})
+_INT = {"type": int}
+
+
+class _Params:
+    """A relation's params, written to JSON as its FIELDS say."""
+
+    def to_json_dict(self) -> dict:
+        return {key: render(getattr(self, attr)) for key, attr, render, _, _ in self.FIELDS}
+
+
 def _normalize_exponents(large_exponents) -> tuple[tuple[int, int], ...]:
     items = []
     for index, exponent in dict(large_exponents).items():
@@ -109,9 +169,11 @@ def _normalize_exponents(large_exponents) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass(frozen=True)
-class Relation1Params:
+class Relation1Params(_Params):
     """K times the full basis product, plus or minus a product of powers of
     the primes above the root (index 1 = next_prime)."""
+
+    FIELDS = (_BOUND, _BASIS, _B1, _B2, ("k", "multiplier", str, _given, _INT), _M)
 
     basis: PrimeBasis
     sign_small: Parity
@@ -124,21 +186,13 @@ class Relation1Params:
             raise ValidationError(f"multiplier must be >= 1, got {self.multiplier}")
         object.__setattr__(self, "large_exponents", _normalize_exponents(self.large_exponents))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bound": str(self.basis.bound),
-            "basis": [str(p) for p in self.basis.small_primes],
-            "b1": self.sign_small.value,
-            "b2": self.sign_large.value,
-            "k": str(self.multiplier),
-            "m": {str(i): e for i, e in self.large_exponents},
-        }
-
 
 @dataclass(frozen=True)
-class Relation1FactorialParams:
+class Relation1FactorialParams(_Params):
     """Same window and large part as relation1, but the small part is
     k1 * d! with d = floor(sqrt(bound)); d! covers every basis prime."""
+
+    FIELDS = (_BOUND, ("d", "d", int, None, None), _B1, _B2, ("k1", "k1", str, _given, _INT), _M)
 
     basis: PrimeBasis
     sign_small: Parity
@@ -154,16 +208,6 @@ class Relation1FactorialParams:
     @property
     def d(self) -> int:
         return isqrt(self.basis.bound)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bound": str(self.basis.bound),
-            "d": self.d,
-            "b1": self.sign_small.value,
-            "b2": self.sign_large.value,
-            "k1": str(self.k1),
-            "m": {str(i): e for i, e in self.large_exponents},
-        }
 
 
 @lru_cache(maxsize=64)
@@ -181,12 +225,24 @@ def _check_partition(basis: PrimeBasis, group1: tuple[int, ...], group2: tuple[i
 
 
 @dataclass(frozen=True)
-class Relation2Params:
+class Relation2Params(_Params):
     """Two-set split of the basis: R = +-P1*k1 +- P2*k2 +- P1*P2*k3.
 
     k1 must avoid every prime in group2 and k2 every prime in group1;
     those checks live in eval_relation2 and reject rather than raise.
     """
+
+    FIELDS = (
+        _BOUND,
+        ("s1", "group1", _strs, _read_ints, {"help": "comma list: first prime group"}),
+        ("s2", "group2", _strs, _read_ints, {"help": "comma list: second prime group"}),
+        ("b1", "sign1", _SIGN, _read_sign, {}),
+        ("b2", "sign2", _SIGN, _read_sign, {}),
+        ("b3", "sign3", _SIGN, _read_sign, {"default": "2"}),
+        ("k1", "k1", str, _given, _INT),
+        ("k2", "k2", str, _given, _INT),
+        ("k3", "k3", str, _given, {"type": int, "default": 0}),
+    )
 
     basis: PrimeBasis
     group1: tuple[int, ...]
@@ -208,25 +264,22 @@ class Relation2Params:
         if self.k3 < 0:
             raise ValidationError("k3 must be >= 0")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bound": str(self.basis.bound),
-            "s1": [str(p) for p in self.group1],
-            "s2": [str(p) for p in self.group2],
-            "b1": self.sign1.value,
-            "b2": self.sign2.value,
-            "b3": self.sign3.value,
-            "k1": str(self.k1),
-            "k2": str(self.k2),
-            "k3": str(self.k3),
-        }
-
 
 @dataclass(frozen=True)
-class Relation3Params:
+class Relation3Params(_Params):
     """One term per basis prime, each omitting exactly that prime, plus an
     optional full-product term. multipliers[i] pairs with signs[i]; the
-    last entries belong to the full-product term and its k may be 0."""
+    last entries belong to the full-product term and its k may be 0. Given
+    only n entries for an n-prime basis, that term's sign is even and its
+    k is 0."""
+
+    FIELDS = (
+        _BOUND,
+        _BASIS,
+        ("b", "signs", lambda signs: [s.value for s in signs], _read_signs,
+         {"help": "comma list of n or n+1 sign exponents"}),
+        ("k", "multipliers", _strs, _read_ints, {"help": "comma list of n or n+1 multipliers"}),
+    )
 
     basis: PrimeBasis
     signs: tuple[Parity, ...]
@@ -234,6 +287,10 @@ class Relation3Params:
 
     def __post_init__(self) -> None:
         n = len(self.basis.small_primes)
+        if len(self.signs) == n:
+            object.__setattr__(self, "signs", (*self.signs, Parity.EVEN))
+        if len(self.multipliers) == n:
+            object.__setattr__(self, "multipliers", (*self.multipliers, 0))
         if len(self.signs) != n + 1 or len(self.multipliers) != n + 1:
             raise ValidationError(
                 f"need {n + 1} signs and multipliers for a {n}-prime basis"
@@ -242,14 +299,6 @@ class Relation3Params:
             raise ValidationError("per-prime multipliers must be >= 1")
         if self.multipliers[-1] < 0:
             raise ValidationError("the full-product multiplier must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bound": str(self.basis.bound),
-            "basis": [str(p) for p in self.basis.small_primes],
-            "b": [s.value for s in self.signs],
-            "k": [str(k) for k in self.multipliers],
-        }
 
 
 @dataclass(frozen=True)
@@ -409,6 +458,17 @@ def eval_relation3(params: Relation3Params, check_constraints: bool = True) -> C
     )
 
 
+def evaluator(construction: str):
+    """The evaluator of a construction, looked up at each call, so that a
+    wrapper set on this module's eval_relation* is the one returned."""
+    return {
+        RELATION1: eval_relation1,
+        RELATION1_FACTORIAL: eval_relation1_factorial,
+        RELATION2: eval_relation2,
+        RELATION3: eval_relation3,
+    }[construction]
+
+
 def default_partition(basis: PrimeBasis) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic two-set split used when the caller does not supply one:
     alternate primes between the groups."""
@@ -510,12 +570,7 @@ def enumerate_certified(
         points = _relation2_points(basis, budget, partition, skip)
     else:
         points = _relation3_points(basis, budget, skip)
-    evaluate = {
-        RELATION1: eval_relation1,
-        RELATION1_FACTORIAL: eval_relation1_factorial,
-        RELATION2: eval_relation2,
-        RELATION3: eval_relation3,
-    }[construction]
+    evaluate = evaluator(construction)
     certs = []
     for value, params in points:
         cert = evaluate(params)

@@ -351,6 +351,60 @@ class TestRelationCommands:
         want = (0, "rejected (above window high 120): R=209\n", "")
         assert run_cli(capsys, *argv, "--m", "") == run_cli(capsys, *argv) == want
 
+    # a valid single evaluation of each relation, flag by flag in field order,
+    # and whether each flag is required: a sign flag names itself as one
+    REQUIRED = {
+        "rel1": [("--b1", "2", "sign flag"), ("--b2", "1", "sign flag"), ("--k", "1", "flag"), ("--m", "2", None)],
+        "rel1f": [("--b1", "2", "sign flag"), ("--b2", "1", "sign flag"), ("--k1", "1", "flag"), ("--m", "1", None)],
+        "rel2": [
+            ("--s1", "2,7", "flag"), ("--s2", "3,5", "flag"), ("--b1", "2", "sign flag"),
+            ("--b2", "2", "sign flag"), ("--b3", "2", None), ("--k1", "1", "flag"), ("--k2", "3", "flag"),
+            ("--k3", "0", None),
+        ],
+        "rel3": [("--b", "2,1,2,2", "flag"), ("--k", "1,1,1,1", "flag")],
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_each_missing_required_flag_exit_one(self, capsys, command):
+        flags = self.REQUIRED[command]
+        argv = [command, "--bound", "119"]
+        assert run_cli(capsys, *argv, *(x for flag, value, _ in flags for x in (flag, value)))[0] == 0
+        for i, (flag, _, what) in enumerate(flags):
+            if what is None:
+                continue
+            # left out alone, and with every later flag: the flags are read
+            # in field order, so the first one missing is the one named
+            want = (1, "", f"error: missing required {what} {flag}\n")
+            alone = [x for f, value, _ in flags if f != flag for x in (f, value)]
+            rest = [x for f, value, _ in flags[:i] for x in (f, value)]
+            assert run_cli(capsys, *argv, *alone) == want, alone
+            assert run_cli(capsys, *argv, *rest) == want, rest
+
+    USAGE_HEAD = (
+        "[-h] [--format {text,json,csv,jsonl}] [--workers WORKERS] [--seed-cap-digits SEED_CAP_DIGITS] "
+        "[--candidate-cap CANDIDATE_CAP] [--paper-faithful] [--log LOG] --bound BOUND [--enumerate] "
+        "[--budget BUDGET] [--multiset]"
+    )
+
+    @pytest.mark.parametrize(
+        "command, tail",
+        [
+            ("rel1", "[--b1 B1] [--b2 B2] [--k K] [--m M] [--slots SLOTS] [--worked-examples]"),
+            ("rel1f", "[--b1 B1] [--b2 B2] [--k1 K1] [--m M] [--slots SLOTS]"),
+            (
+                "rel2",
+                "[--s1 S1] [--s2 S2] [--b1 B1] [--b2 B2] [--b3 B3] [--k1 K1] [--k2 K2] [--k3 K3] "
+                "[--worked-examples]",
+            ),
+            ("rel3", "[--b B] [--k K] [--worked-examples]"),
+        ],
+    )
+    def test_help_usage_lists_the_flags_in_order(self, capsys, command, tail):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        usage = " ".join(out.split("\n\n")[0].split())
+        assert usage == f"usage: primekit {command} {self.USAGE_HEAD} {tail}"
+
     def test_enumerate_needs_budget(self, capsys):
         code, _, err = run_cli(capsys, "rel1", "--bound", "119", "--enumerate")
         assert code == 1 and "--budget" in err

@@ -280,6 +280,19 @@ class TestRelation3:
         with pytest.raises(ValidationError):
             Relation3Params(BASIS_119, (E,) * 5, (1, 1, 1, 1, -1))
 
+    def test_n_entries_default_the_full_product_term(self):
+        # an n-prime basis given n signs or multipliers gets an even sign
+        # and k = 0 for the full-product term, each list on its own
+        full = Relation3Params(BASIS_119, (E, O, E, E, E), (1, 1, 1, 1, 0))
+        assert Relation3Params(BASIS_119, (E, O, E, E), (1, 1, 1, 1)) == full
+        assert Relation3Params(BASIS_119, (E, O, E, E), (1, 1, 1, 1, 0)) == full
+        assert Relation3Params(BASIS_119, (E, O, E, E, E), (1, 1, 1, 1)) == full
+        for width in (3, 6):
+            with pytest.raises(ValidationError):
+                Relation3Params(BASIS_119, (E,) * width, (1, 1, 1, 1))
+            with pytest.raises(ValidationError):
+                Relation3Params(BASIS_119, (E, O, E, E), (1,) * width)
+
     def test_full_product_multiplier_may_be_zero(self):
         params = Relation3Params(BASIS_119, (E, O, E, E, E), (1, 1, 1, 1, 0))
         assert eval_relation3(params).value == 107
@@ -502,6 +515,34 @@ class TestCertificateShape:
         data = cert.to_json_dict()
         assert data["accepted"] is False
         assert "reason" in data
+
+    @pytest.mark.parametrize(
+        "params, record",
+        [
+            (
+                Relation1Params(BASIS_119, E, O, 1, ((1, 2),)),
+                '{"bound": "119", "basis": ["2", "3", "5", "7"], "b1": "even", "b2": "odd", "k": "1", "m": {"1": 2}}',
+            ),
+            (
+                Relation1FactorialParams(BASIS_119, O, E, 3, ((3, 2), (1, 1))),
+                '{"bound": "119", "d": 10, "b1": "odd", "b2": "even", "k1": "3", "m": {"1": 1, "3": 2}}',
+            ),
+            (
+                Relation2Params(BASIS_119, (7, 2), (5, 3), E, E, O, 1, 3, 2),
+                '{"bound": "119", "s1": ["2", "7"], "s2": ["3", "5"], "b1": "even", "b2": "even", "b3": "odd", '
+                '"k1": "1", "k2": "3", "k3": "2"}',
+            ),
+            (
+                Relation3Params(BASIS_119, (E, O, E, E, E), (1, 1, 1, 1, 0)),
+                '{"bound": "119", "basis": ["2", "3", "5", "7"], "b": ["even", "odd", "even", "even", "even"], '
+                '"k": ["1", "1", "1", "1", "0"]}',
+            ),
+        ],
+    )
+    def test_params_record_byte_for_byte(self, params, record):
+        # key order and types: d and the exponents are ints, every other
+        # number a decimal string
+        assert json.dumps(params.to_json_dict()) == record
 
     def test_certificates_are_frozen(self):
         cert = eval_relation1(Relation1Params(BASIS_119, E, O, 1, ((1, 2),)))
