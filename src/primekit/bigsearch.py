@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import decimal
 import sys
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .oracle import OracleVerdict, is_prime, odd_prime_product, sieve_primes_below
-from .relations import BIG_SEARCH, CandidateCertificate
 
 DEFAULT_C_DIGIT_CAP = 1_000_000
 # k's bit length from which in_decimal writes k by decimal arithmetic, not
@@ -57,17 +56,13 @@ class SearchState:
     high: int
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    """One certified R = c*k - 2^n as search lists it; found_at is
-    time.perf_counter() when proven_hits proved it. The CLI streams the
-    plain tuples of proven_hits instead."""
+class SearchHit(NamedTuple):
+    """One certified R = c*k - 2^n, a tuple of proven_hits with names."""
 
-    k: int
     n: int
+    k: int
     value: int
-    certificate: CandidateCertificate
-    found_at: float
+    verdict: OracleVerdict
 
 
 def build_state(seed: int, c_digit_cap: int = DEFAULT_C_DIGIT_CAP) -> SearchState:
@@ -273,18 +268,5 @@ def search(
     max_hits: int | None = None,
     min_n: int | None = None,
 ) -> list[SearchHit]:
-    """proven_hits as a list of SearchHit, each with its certificate."""
-    hits = proven_hits(state, max_exponent, max_hits, min_n)
-    seed, window = str(state.seed), (state.low, state.high)
-    return [
-        SearchHit(k, n, value, CandidateCertificate(
-            value=value,
-            construction=BIG_SEARCH,
-            params={"seed": seed, "k": str(k), "n": n},
-            window=window,
-            accepted=True,
-            verdict=verdict,
-            signed_value=value,
-        ), time.perf_counter())
-        for n, k, value, verdict in hits
-    ]
+    """proven_hits as a list of SearchHit."""
+    return list(map(SearchHit._make, proven_hits(state, max_exponent, max_hits, min_n)))

@@ -5,9 +5,9 @@ C <= sqrt(bound), which in K-space is the arithmetic progression
 K = C*m + (C-1)/2. Striking those progressions over the window
 (C-1)/2 <= m < (bound-C)/(2C) leaves exactly the odd primes. Structurally
 this is a wheel-style sieve, so the admissible K are kept in a byte mask;
-the exact rational window bounds are kept around (and are what excluded_k
-reports) because an off-by-one at either end silently drops the largest
-prime or keeps a composite.
+the exact rational window bounds are kept around (excluded_k and
+struck_count read their ends off them) because an off-by-one at either end
+silently drops the largest prime or keeps a composite.
 
 The mask is struck in one pass and then read out as decimal text, one
 block of 10^4 integers (5,000 K's) at a time (prime_blocks), so a caller
@@ -73,13 +73,8 @@ class ExclusionSpec:
     @classmethod
     def for_bound(cls, bound: int) -> "ExclusionSpec":
         """The sieve's windows for `bound`, refused as primes_below refuses it."""
-        return cls.for_basis(_basis(bound), bound)
-
-    @classmethod
-    def for_basis(cls, basis: PrimeBasis, bound: int) -> "ExclusionSpec":
-        windows = tuple(
-            (p, (p - 1) // 2, Fraction(bound - p, 2 * p)) for p in basis.odd_primes
-        )
+        basis = _basis(bound)
+        windows = tuple((p, (p - 1) // 2, Fraction(bound - p, 2 * p)) for p in basis.odd_primes)
         return cls(bound=bound, basis=basis, per_prime_windows=windows)
 
     def struck_count(self) -> int:
@@ -90,19 +85,15 @@ class ExclusionSpec:
 
 def excluded_k(spec: ExclusionSpec, prime_index: int) -> list[int]:
     """Struck K values for the prime at `prime_index` (0-based over the odd
-    basis primes), evaluated from the exact rational window."""
+    basis primes): K = prime*m + (prime-1)/2 for the integers m in the
+    window, m_low <= m < ceil(m_high) since m_high is exact."""
     if not 0 <= prime_index < len(spec.per_prime_windows):
         raise ValidationError(
             f"prime index {prime_index} out of range for {len(spec.per_prime_windows)} odd primes"
         )
     prime, m_low, m_high = spec.per_prime_windows[prime_index]
     half = (prime - 1) // 2
-    out = []
-    m = m_low
-    while m < m_high:
-        out.append(prime * m + half)
-        m += 1
-    return out
+    return list(range(prime * m_low + half, prime * ceil(m_high) + half, prime))
 
 
 def _strike(bound: int, odd_primes: tuple[int, ...]) -> bytearray:

@@ -4,8 +4,9 @@ These are regression fixtures: each column records the parameters as
 printed alongside the value they are supposed to produce. Two relation1
 columns are internally inconsistent (the printed parameters evaluate to
 -1139 and -31, not 71 and 31); those stay flagged as errata rather than
-being encoded as golden values, and a bounded grid search recovers
-parameters that genuinely reach the printed targets.
+being encoded as golden values, and the relation1 enumerator, walked over
+a bounded grid, recovers parameters that genuinely reach the printed
+targets.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ from dataclasses import dataclass
 
 from .oracle import PrimeBasis, primes_leq_sqrt
 from .relations import (
+    RELATION1,
+    RELATION2,
+    RELATION3,
     CandidateCertificate,
     Parity,
     Relation1Params,
     Relation2Params,
     Relation3Params,
-    eval_relation1,
-    eval_relation2,
-    eval_relation3,
-    find_relation1_params,
+    enumerate_certified,
+    evaluator,
 )
 
 REFERENCE_BOUND = 119
@@ -71,43 +73,37 @@ class ReferenceEntry:
     replacement: Relation1Params | None = None
 
 
-def reference_basis() -> PrimeBasis:
-    return primes_leq_sqrt(REFERENCE_BOUND)
-
-
-def relation1_report() -> list[ReferenceEntry]:
-    """Evaluate each relation1 column; for inconsistent ones, search the
-    bounded grid for parameters that do reach the printed value."""
-    basis = reference_basis()
+def _report(construction: str, columns, make, recover=None) -> list[ReferenceEntry]:
+    """Evaluate each column's params, make(basis, *fields), against its
+    printed value; an inconsistent column gets recover(basis, printed)."""
+    basis = primes_leq_sqrt(REFERENCE_BOUND)
+    evaluate = evaluator(construction)
     entries = []
-    for index, (b1, b2, k, exps, printed) in enumerate(RELATION1_COLUMNS, start=1):
-        cert = eval_relation1(Relation1Params(basis, b1, b2, k, exps))
+    for index, (*fields, printed) in enumerate(columns, start=1):
+        cert = evaluate(make(basis, *fields))
         consistent = cert.accepted and cert.signed_value == printed
-        replacement = None if consistent else find_relation1_params(basis, printed, ERRATA_SEARCH_BUDGET, 2)
+        replacement = None if consistent or recover is None else recover(basis, printed)
         entries.append(ReferenceEntry(index, printed, cert, consistent, replacement))
     return entries
 
 
+def _first_reaching(basis: PrimeBasis, printed: int) -> Relation1Params | None:
+    """The params of the first accepted relation1 grid point reaching `printed`."""
+    certs = enumerate_certified(RELATION1, basis, ERRATA_SEARCH_BUDGET, 2, verbose=True)
+    return next((cert.params for cert in certs if cert.value == printed), None)
+
+
+def relation1_report() -> list[ReferenceEntry]:
+    """The relation1 columns; for inconsistent ones, parameters from the
+    bounded grid that do reach the printed value."""
+    return _report(RELATION1, RELATION1_COLUMNS, Relation1Params, _first_reaching)
+
+
 def relation2_report() -> list[ReferenceEntry]:
-    basis = reference_basis()
-    group1, group2 = RELATION2_GROUPS
-    entries = []
-    for index, (b1, b2, b3, k1, k2, k3, printed) in enumerate(RELATION2_COLUMNS, start=1):
-        cert = eval_relation2(
-            Relation2Params(basis, group1, group2, b1, b2, b3, k1, k2, k3)
-        )
-        entries.append(
-            ReferenceEntry(index, printed, cert, cert.accepted and cert.signed_value == printed)
-        )
-    return entries
+    return _report(
+        RELATION2, RELATION2_COLUMNS, lambda basis, *fields: Relation2Params(basis, *RELATION2_GROUPS, *fields)
+    )
 
 
 def relation3_report() -> list[ReferenceEntry]:
-    basis = reference_basis()
-    entries = []
-    for index, (signs, ks, printed) in enumerate(RELATION3_COLUMNS, start=1):
-        cert = eval_relation3(Relation3Params(basis, signs, ks))
-        entries.append(
-            ReferenceEntry(index, printed, cert, cert.accepted and cert.signed_value == printed)
-        )
-    return entries
+    return _report(RELATION3, RELATION3_COLUMNS, Relation3Params)

@@ -308,7 +308,7 @@ class CandidateCertificate:
 
     value: int
     construction: str
-    params: object
+    params: _Params
     window: tuple[int, int]
     accepted: bool
     verdict: OracleVerdict
@@ -319,7 +319,7 @@ class CandidateCertificate:
         out = {
             "value": str(self.value),
             "construction": self.construction,
-            "params": _params_jsonable(self.params),
+            "params": self.params.to_json_dict(),
             "window": {"low": str(self.window[0]), "high": str(self.window[1])},
             "accepted": self.accepted,
             "verdict": self.verdict.to_json_dict(),
@@ -327,14 +327,6 @@ class CandidateCertificate:
         if self.reason is not None:
             out["reason"] = self.reason
         return out
-
-
-def _params_jsonable(params) -> dict:
-    if hasattr(params, "to_json_dict"):
-        return params.to_json_dict()
-    if isinstance(params, dict):
-        return params
-    raise TypeError(f"cannot serialize params of type {type(params)!r}")
 
 
 def certificate_window(basis: PrimeBasis) -> tuple[int, int]:
@@ -740,13 +732,3 @@ def _relation3_points(basis: PrimeBasis, budget: int, skip=()):
             signs, ks = zip(*map(list.__getitem__, tables, indices))
             yield value, Relation3Params(basis, signs, ks)
 
-
-def find_relation1_params(
-    basis: PrimeBasis, target: int, budget: int, exponent_slots: int = 2
-) -> Relation1Params | None:
-    """First relation1 point in grid order whose accepted value equals
-    `target`; None when the grid holds no such tuple."""
-    for value, params in _relation1_points(RELATION1, basis, budget, exponent_slots):
-        if value == target and eval_relation1(params).accepted:
-            return params
-    return None

@@ -6,7 +6,6 @@ residue-class walk that replaced them, one exponent at a time."""
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
@@ -14,7 +13,6 @@ from math import gcd
 from primekit.bigsearch import SearchHit, SearchState
 from primekit.errors import InvariantViolation, ResourceLimitError, ValidationError
 from primekit.oracle import is_prime
-from primekit.relations import BIG_SEARCH, CandidateCertificate
 
 
 def _window_values(state: SearchState, first: int, last: int) -> Iterator[tuple[int, range]]:
@@ -118,16 +116,7 @@ def search(
                 raise InvariantViolation(
                     f"search value {value} shares a factor with the odd-prime product"
                 )
-            certificate = CandidateCertificate(
-                value=value,
-                construction=BIG_SEARCH,
-                params={"seed": str(state.seed), "k": str(k), "n": n},
-                window=(state.low, state.high),
-                accepted=True,
-                verdict=verdict,
-                signed_value=value,
-            )
-            hits.append(SearchHit(k=k, n=n, value=value, certificate=certificate, found_at=time.perf_counter()))
+            hits.append(SearchHit(n, k, value, verdict))
             if max_hits is not None and len(hits) >= max_hits:
                 return hits
     return hits

@@ -201,7 +201,7 @@ def test_criterion_7b_search_soundness():
             limit = int(2 * log2(seed * seed)) + 1
             hits = search(state, limit, min_n=1)
             for hit in hits:
-                prime_ok = hit.certificate.verdict.is_prime and slow_is_prime(hit.value)
+                prime_ok = hit.verdict.is_prime and slow_is_prime(hit.value)
                 in_range = state.low < hit.value <= state.high
                 if not (prime_ok and in_range and gcd(hit.value, state.product) == 1):
                     violations.append(hit)

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from dataclasses import replace
@@ -10,7 +11,8 @@ import brute_force_bigsearch as reference
 from brute_force_bigsearch import _window_values, k_window, odd_k_candidates
 from helpers import slow_is_prime
 from primekit import bigsearch
-from primekit.bigsearch import build_state, every_hit, search
+from primekit.bigsearch import SearchHit, build_state, every_hit, proven_hits, search
+from primekit.cli import run
 from primekit.errors import InvariantViolation, ResourceLimitError, ValidationError
 from primekit.oracle import OracleVerdict
 
@@ -83,10 +85,9 @@ class TestSearch:
         hits = search(state, 18)
         assert [(h.k, h.n, h.value) for h in hits] == [(1, 10, 131), (227, 18, 41)]
         for hit in hits:
-            cert = hit.certificate
-            assert cert.accepted and cert.construction == "big-search"
-            assert cert.window == (13, 168)
-            assert cert.verdict.status == "proven-prime"
+            assert tuple(hit) == (hit.n, hit.k, hit.value, hit.verdict)
+            assert (state.low, state.high) == (13, 168) and 13 < hit.value <= 168
+            assert hit.verdict.status == "proven-prime" and hit.verdict.value == hit.value
 
     def test_seed_5_first_window(self):
         hits = search(build_state(5), 1)
@@ -147,11 +148,29 @@ class TestSearch:
         with pytest.raises(ResourceLimitError):
             search(state, last + 1, min_n=last - 2)
 
-    def test_certificate_params_round_trip(self):
+    @pytest.mark.parametrize("seed", [5, 7, 11, 13])
+    def test_is_proven_hits_as_a_list(self, seed):
+        state = build_state(seed)
+        for min_n in (None, 1, 7):
+            for max_hits in (None, 0, 1, 5):
+                hits = search(state, 150, max_hits, min_n)
+                assert hits == list(proven_hits(state, 150, max_hits, min_n)), (min_n, max_hits)
+                assert all(type(hit) is SearchHit for hit in hits)
+                # not vacuous: every cap but 0 is reached below exponent 150
+                assert len(hits) == max_hits if max_hits is not None else len(hits) > 5
+
+    def test_certificate_params_round_trip(self, tmp_path, capsys):
+        # a hit's log record carries (seed, k, n) as its params: what
+        # verify and a rebuild need to reproduce its value
         hit = search(build_state(13), 10)[0]
-        data = hit.certificate.to_json_dict()
-        assert data["params"] == {"seed": "13", "k": "1", "n": 10}
-        assert data["value"] == "131"
+        log = tmp_path / "hits.jsonl"
+        assert run(["bigsearch", "--seed", "13", "--max-n", "10", "--log", str(log)]) == 0
+        capsys.readouterr()
+        (data,) = map(json.loads, log.read_text().splitlines())
+        assert data["construction"] == "big-search"
+        assert data["params"] == {"seed": "13", "k": str(hit.k), "n": hit.n} == {"seed": "13", "k": "1", "n": 10}
+        assert data["value"] == str(hit.value) == "131"
+        assert data["verdict"] == hit.verdict.to_json_dict()
 
 
 def _outcome(call):
@@ -163,7 +182,7 @@ def _outcome(call):
 
 
 def _hit_keys(hits):
-    return [(h.n, h.k, h.value, h.certificate.to_json_dict()) for h in hits]
+    return [(h.n, h.k, h.value, h.verdict) for h in hits]
 
 
 PRIME_SEEDS = [p for p in range(5, 114) if slow_is_prime(p)]

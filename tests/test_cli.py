@@ -576,26 +576,25 @@ def _masked(text, pattern=_ELAPSED):
 class TestBigsearchWriter:
     """Streamed bigsearch output against the batch reference writer with
     one Item per hit of search's list, which is how bigsearch was written
-    before it streamed."""
+    before it streamed. elapsed_ms is masked in every comparison."""
 
     @staticmethod
     def _emitted(seed, max_n, min_n, max_hits, fmt, log=None):
         state = bigsearch.build_state(seed)
         began = time.perf_counter()
         items = []
-        for hit in bigsearch.search(state, max_n, max_hits=max_hits, min_n=min_n):
-            params = hit.certificate.params
-            value = str(hit.value)
-            verdict = hit.certificate.verdict
+        for n, k, value, verdict in bigsearch.search(state, max_n, max_hits=max_hits, min_n=min_n):
+            params = {"seed": str(seed), "k": str(k), "n": n}
+            text = str(value)
             record = {
                 **params,
-                "value": value,
-                "digits": len(value),
+                "value": text,
+                "digits": len(text),
                 "verdict": verdict.to_json_dict(),
-                "elapsed_ms": round((hit.found_at - began) * 1000.0, 3),
+                "elapsed_ms": round((time.perf_counter() - began) * 1000.0, 3),
             }
-            text = f"n={hit.n} k={params['k']} R={value} {verdict.status}"
-            items.append(Item(record, text, "big-search", params, hit.value, verdict))
+            line = f"n={n} k={k} R={text} {verdict.status}"
+            items.append(Item(record, line, "big-search", params, value, verdict))
         return emitted(items, fmt, log), len(items)
 
     @staticmethod
@@ -816,7 +815,7 @@ class TestRecordWriter:
         good, flipped = self._flipped_log(capsys, tmp_path)
         tampered = tmp_path / "tampered.jsonl"  # a composite value, with its witness
         lines = good.read_text().splitlines()
-        tampered.write_text(lines[0].replace('"value":"131"', '"value":"1139"') + "\n" + lines[1] + "\n")
+        tampered.write_text(lines[0].replace('"value":"131","digits":3', '"value":"1139","digits":4') + "\n" + lines[1] + "\n")
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         for log, code in ((good, 0), (flipped, 3), (tampered, 3), (empty, 0)):
@@ -880,7 +879,7 @@ class TestLogAndVerify:
         run_cli(capsys, "bigsearch", "--seed", "13", "--max-n", "18", "--log", str(log))
         lines = log.read_text().splitlines()
         record = json.loads(lines[0])
-        record["value"] = "1139"  # 17 * 67
+        record.update(value="1139", digits=4)  # 17 * 67
         lines[0] = json.dumps(record)
         log.write_text("\n".join(lines) + "\n")
 
@@ -901,15 +900,26 @@ class TestLogAndVerify:
         code, _, err = run_cli(capsys, "verify", "--log", str(log))
         assert code == 1 and "line 1" in err  # first line lacks required keys
 
+    _GOOD = {
+        "timestamp": "t", "construction": "big-search", "params": {}, "value": "131",
+        "digits": 3, "verdict": {"status": "proven-prime"}, "tool_version": "0",
+    }
+
     def test_malformed_lines_name_the_line(self, capsys, tmp_path):
-        good = {
-            "timestamp": "t", "construction": "big-search", "params": {}, "value": "131",
-            "digits": 3, "verdict": {"status": "proven-prime"}, "tool_version": "0",
-        }
+        good = self._GOOD
         cases = [
             ("5", "not a JSON object"),
             (json.dumps({**good, "verdict": "x"}), "verdict"),
-            (json.dumps({**good, "value": "-7"}), "non-negative"),
+            # value is read strictly: ASCII digits, as many as digits says
+            (json.dumps({**good, "value": "-7"}), "value is not a decimal string"),
+            (json.dumps({**good, "value": " 1_0_1 "}), "value is not a decimal string"),  # int() reads 101
+            (json.dumps({**good, "value": 131}), "value is not a decimal string"),  # a JSON number
+            (json.dumps({**good, "value": "١٣١"}), "value is not a decimal string"),  # non-ASCII digits
+            (json.dumps({**good, "value": "+131"}), "value is not a decimal string"),
+            (json.dumps({**good, "value": ""}), "value is not a decimal string"),
+            (json.dumps({**good, "digits": 4}), "digits is 4, but value has 3"),
+            (json.dumps({**good, "digits": "3"}), "digits is '3', but value has 3"),
+            (json.dumps({**good, "digits": True, "value": "7"}), "digits is True, but value has 1"),
         ]
         for bad, message in cases:
             log = tmp_path / "bad.jsonl"
@@ -917,6 +927,26 @@ class TestLogAndVerify:
             code, out, err = run_cli(capsys, "verify", "--log", str(log))
             assert code == 1 and out == "", bad
             assert err.startswith("error: log line 2: ") and message in err, bad
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+        reason="no limit on int-to-str conversion",
+    )
+    def test_value_past_the_int_str_limit_exits_2(self, capsys, tmp_path):
+        # 10^(d-1) has d digits and is even, so the oracle refutes it at once
+        limit = sys.get_int_max_str_digits()
+        log = tmp_path / "big.jsonl"
+        for digits, want in ((limit, 0), (limit + 1, 2), (limit + 2, 2)):
+            text = "1" + "0" * (digits - 1)
+            big = {**self._GOOD, "value": text, "digits": digits, "verdict": {"status": "proven-composite"}}
+            log.write_text(json.dumps(self._GOOD) + "\n" + json.dumps(big) + "\n")
+            code, out, err = run_cli(capsys, "verify", "--log", str(log))
+            assert code == want, digits
+            if want:
+                assert out == "" and err.startswith(f"resource error: log line 2: value has {digits} digits")
+                assert f"{limit}-digit limit" in err
+            else:
+                assert out == "checked 2 record(s), 0 mismatch(es)\n" and err == ""
 
     def test_missing_log_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "--log", str(tmp_path / "nope.jsonl"))

@@ -214,24 +214,25 @@ def test_walk_matches_brute_force(terms, low, width):
     assert list(_walk(terms, low, high)) == want
 
 
-def _first_in_grid_order(basis, target, budget, exponent_slots=2):
-    """find_relation1_params by the nested loops."""
-    for cert in _enumerate_relation1(RELATION1, basis, budget, exponent_slots):
-        if cert.signed_value == target:
-            return cert.params
-    return None
-
-
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_worked_examples_match_the_nested_loops(fmt, capsys, monkeypatch):
     # two of the five printed relation1 values are errata; their
-    # replacements are the first accepted grid points with those values
+    # replacements are the first accepted grid points with those values,
+    # taken from the enumerator's multiset, here from the nested loops'
     argv = ["rel1", "--bound", "119", "--worked-examples", "--format", fmt]
     assert run(argv) == 0
     got = capsys.readouterr()
-    monkeypatch.setattr(reference, "find_relation1_params", _first_in_grid_order)
+    calls = []
+
+    def nested_loops(construction, basis, budget, exponent_slots=2, verbose=False):
+        assert verbose
+        calls.append(construction)
+        return _enumerate_relation1(construction, basis, budget, exponent_slots)
+
+    monkeypatch.setattr(reference, "enumerate_certified", nested_loops)
     assert run(argv) == 0
     assert capsys.readouterr() == got
+    assert calls == [RELATION1, RELATION1]
     if fmt == "json":
         replacements = [r["replacement"] for r in json.loads(got.out) if "replacement" in r]
         assert [(r["b1"], r["b2"], r["k"], r["m"]) for r in replacements] == [

@@ -19,6 +19,7 @@ from primekit.reference import (
     relation3_report,
 )
 from primekit.relations import (
+    RELATION1,
     Parity,
     Relation1FactorialParams,
     Relation1Params,
@@ -32,7 +33,6 @@ from primekit.relations import (
     eval_relation1_factorial,
     eval_relation2,
     eval_relation3,
-    find_relation1_params,
 )
 
 E, O = Parity.EVEN, Parity.ODD
@@ -94,14 +94,17 @@ class TestRelation1:
         assert not cert.accepted and cert.signed_value == -31
 
     def test_printed_values_recoverable_by_search(self):
-        p71 = find_relation1_params(BASIS_119, 71, 10)
-        assert p71 is not None
+        # the first accepted grid points, in grid order, that reach the
+        # errata's printed values
+        certs = enumerate_certified(RELATION1, BASIS_119, 10, 2, verbose=True)
+        p71 = next(c.params for c in certs if c.value == 71)
         cert = eval_relation1(p71)
         assert cert.accepted and cert.value == 71
+        assert (p71.sign_small, p71.sign_large, p71.multiplier, p71.large_exponents) == (O, E, 6, ((1, 3),))
 
-        p31 = find_relation1_params(BASIS_119, 31, 10)
-        assert p31 is not None
+        p31 = next(c.params for c in certs if c.value == 31)
         assert eval_relation1(p31).accepted
+        assert (p31.sign_small, p31.sign_large, p31.multiplier, p31.large_exponents) == (E, O, 9, ((1, 1), (2, 2)))
 
     def test_zero_multiplier_rejected(self):
         with pytest.raises(ValidationError):
