@@ -32,7 +32,7 @@ from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, in_decimal, proven_hits
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .exclusion import ExclusionSpec, excluded_k, prime_blocks
 from .mersenne import scan_prime_zn
-from .oracle import OracleVerdict, is_prime, primes_leq_sqrt
+from .oracle import PROBABLE_PRIME, PROVEN_PRIME, OracleVerdict, is_prime, primes_leq_sqrt
 from .reference import relation1_report, relation2_report, relation3_report
 from .relations import (
     BIG_SEARCH,
@@ -111,12 +111,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", parents=[core, logp], help="residue-exclusion prime sieve")
+    p.set_defaults(handler=_cmd_sieve)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--include-two", action="store_true")
     p.add_argument("--show-exclusions", action="store_true",
                    help="print the struck K progressions instead of the primes")
 
     p = sub.add_parser("zscan", parents=[core, logp], help="scan generalized Mersenne values")
+    p.set_defaults(handler=_cmd_zscan)
     p.add_argument("--a", required=True, metavar="LO..HI", help="base range")
     p.add_argument("--c", required=True, metavar="LO..HI", help="step range")
     p.add_argument("--n", required=True, metavar="LO..HI", help="exponent range")
@@ -125,6 +127,7 @@ def _build_parser() -> _Parser:
 
     for name, (_, params, report) in _RELATIONS.items():
         p = sub.add_parser(name, parents=[core, logp], help=f"{name} certificate construction")
+        p.set_defaults(handler=_cmd_relation)
         p.add_argument("--bound", type=int, required=True)
         p.add_argument("--enumerate", action="store_true")
         p.add_argument("--budget", type=int)
@@ -143,12 +146,14 @@ def _build_parser() -> _Parser:
                            help="evaluate the published reference columns (bound 119)")
 
     p = sub.add_parser("bigsearch", parents=[core, logp], help="certified search above a seed prime")
+    p.set_defaults(handler=_cmd_bigsearch)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-hits", type=int, default=None)
     p.add_argument("--min-n", type=int, default=None)
 
     p = sub.add_parser("verify", parents=[core], help="re-check a result log against the oracle")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--log", required=True, help="JSONL result log to verify")
 
     return parser
@@ -181,6 +186,18 @@ def _write_log(log_file, construction: str, params: dict, value: int, verdict: O
     log_file.flush()
 
 
+def _open_log(path, append: bool):
+    """The --log file opened to append entries, or verify's log opened to
+    read bytes, or a ValidationError naming the path. Only the open is
+    guarded, so an error writing stdout still reaches main."""
+    try:
+        return open(path, "a", encoding="utf-8") if append else open(path, "rb")
+    except OSError as exc:
+        if isinstance(exc, FileNotFoundError) and not append:
+            raise ValidationError(f"log file {path} does not exist") from None
+        raise ValidationError(f"cannot open log file {path}: {exc.strerror or exc}") from None
+
+
 def _write(pieces, layout, cfg: RunConfig) -> None:
     """Write each (text, logged) piece to stdout as it comes, framed by
     layout = (head, between, tail, empty). A piece's `logged`, unless None,
@@ -189,7 +206,7 @@ def _write(pieces, layout, cfg: RunConfig) -> None:
     closed when the pieces end or raise; a raise leaves the tail unwritten."""
     head, between, tail, empty = layout
     write = sys.stdout.write
-    log_file = open(cfg.log_path, "a", encoding="utf-8") if cfg.log_path else None
+    log_file = _open_log(cfg.log_path, append=True) if cfg.log_path else None
     try:
         first = True
         for text, logged in pieces:
@@ -413,15 +430,16 @@ _REQUIRED_LOG_KEYS = ("timestamp", "construction", "params", "value", "digits", 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     path = Path(args.log)
-    if not path.exists():
-        raise ValidationError(f"log file {path} does not exist")
     checked = 0
     mismatches: list[tuple] = []
     # 0 means no limit, as before Python 3.10.7, which lacks the call too
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with _open_log(path, append=False) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"log file {path} line {lineno}: not UTF-8 ({exc.reason})") from None
             if not line:
                 continue
             try:
@@ -448,7 +466,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                 raise ValidationError(f"log line {lineno}: verdict is not an object with a status")
             actual = is_prime(int(text))  # a digit string is in the oracle's domain
             checked += 1
-            if actual.is_prime != (claimed in ("proven-prime", "probable-prime")):
+            if actual.is_prime != (claimed in (PROVEN_PRIME, PROBABLE_PRIME)):
                 mismatches.append((
                     {
                         "line": lineno,
@@ -467,18 +485,6 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     )
     _write_records(mismatches + [summary], cfg)
     return 3 if mismatches else 0
-
-
-_HANDLERS = {
-    "sieve": _cmd_sieve,
-    "zscan": _cmd_zscan,
-    "rel1": _cmd_relation,
-    "rel1f": _cmd_relation,
-    "rel2": _cmd_relation,
-    "rel3": _cmd_relation,
-    "bigsearch": _cmd_bigsearch,
-    "verify": _cmd_verify,
-}
 
 
 def _resolve_config(args) -> RunConfig:
@@ -510,7 +516,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
-        return _HANDLERS[args.command](args, cfg)
+        return args.handler(args, cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

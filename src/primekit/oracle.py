@@ -78,10 +78,6 @@ class OracleVerdict:
     def is_prime(self) -> bool:
         return self.status in (PROVEN_PRIME, PROBABLE_PRIME)
 
-    @property
-    def is_proven(self) -> bool:
-        return self.status in (PROVEN_PRIME, PROVEN_COMPOSITE)
-
     def to_json_dict(self) -> dict:
         return {
             "status": self.status,

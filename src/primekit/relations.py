@@ -35,13 +35,13 @@ bisecting the sorted half once per left sum. relation1 puts its
 2 * budget signed multiples k * lead on the left and its power products g
 on the right, but only the g that can reach the window (low, high]: a g
 outside [1, high] and [lead - high, budget * lead + high] pairs with no
-sign and no multiplier, so it is never built (_relation1_points). Signs
-and keys are read back from the option indices only for the points in
-the window, and those are evaluated in grid-key order, which
-is the order of the nested loops over signs, multipliers and exponents
-that define the grid, so the same grid always yields the same
-certificates in the same order. Deduplicated enumeration skips a point
-whose sum is already certified before its params are built.
+sign and no multiplier, so it is never built (_relation1_points); each g
+carries its exponents. The points in the window are evaluated in grid-key
+order, the order of the nested loops over signs, multipliers and
+exponents that define the grid, so the same grid always yields the same
+certificates in the same order. Deduplicated enumeration skips a hit
+whose sum is already certified; a hit is read back (its signs, keys and
+relation1's own window) only once it is not skipped.
 """
 
 from __future__ import annotations
@@ -619,34 +619,34 @@ def _walk(terms, low: int, high: int):
 
 
 def _reachable_powers(primes: tuple[int, ...], budget: int, near: int, far: int, top: int):
-    """(indices, values) of the products of p**e, e in [0, budget], one
-    power per prime, whose value lies in [1, near] or [far, top] (near <=
-    top), in grid order: the order of itertools.product over the
-    exponents, the last prime's fastest. A product's index is its place in
-    that full grid, so its exponents are its base-(budget + 1) digits.
+    """(exponents, values) of the products of p**e, e in [0, budget], one
+    power per prime, whose value lies in [1, near] or [far, top] (1 <= near
+    <= top), in grid order: the order of itertools.product over the
+    exponents, the last prime's fastest, which is the order of the exponent
+    tuples (e_1, ..., e_s) themselves.
 
     The prefix products over all but the last prime are built one prime at
     a time, each dropped once it passes top; the last prime's exponents
     come as two ranges, bisected from its power list."""
-    base = budget + 1
-    prefixes = [(0, 1)]
+    if not primes:  # the grid is the one empty product
+        return [()], [1]
+    prefixes = [((), 1)]
     for p in primes[:-1]:
-        powers = [p ** e for e in range(base)]
+        powers = [p ** e for e in range(budget + 1)]
         prefixes = [
-            (i * base + e, v * pe)
-            for i, v in prefixes
+            ((*es, e), v * pe)
+            for es, v in prefixes
             for e, pe in enumerate(powers[: bisect_right(powers, top // v)])
         ]
-    # with no primes the grid is the one empty product
-    powers = [primes[-1] ** e for e in range(base)] if primes else [1]
-    indices, values = [], []
-    for i, v in prefixes:
+    powers = [primes[-1] ** e for e in range(budget + 1)]
+    exponents, values = [], []
+    for es, v in prefixes:
         below = bisect_right(powers, near // v)
         above = max(below, bisect_left(powers, -(-far // v)))
         for e in chain(range(below), range(above, bisect_right(powers, top // v))):
-            indices.append(i * base + e)
+            exponents.append((*es, e))
             values.append(v * powers[e])
-    return indices, values
+    return exponents, values
 
 
 def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponent_slots: int, skip=()):
@@ -660,9 +660,10 @@ def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponen
     g <= high - lead (+, +), k * lead - high <= g < k * lead - low (+, -)
     or k * lead + low < g <= k * lead + high (-, +); (-, -) is negative.
     So a g outside [1, high] and [lead - high, budget * lead + high]
-    never pairs, and _reachable_powers leaves it out of the grid. Each hit
-    keeps its full grid index, from which its exponents are read, and is
-    then held to its own window, which depends on its exponents and k.
+    never pairs, and _reachable_powers leaves it out of the grid. The hits
+    are sorted by grid key (exponents, b1, b2, k); a hit is read back only
+    once its value is not skipped, and then held to its own window, which
+    depends on its exponents and k.
     """
     if construction == RELATION1_FACTORIAL:
         lead, make = factorial(isqrt(basis.bound)), Relation1FactorialParams
@@ -670,24 +671,18 @@ def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponen
         lead, make = _products(basis.small_primes)[0], Relation1Params
     larges = large_primes(basis, exponent_slots + 1)
     low, high = basis.largest, larges[-1] ** 2 - 1
-    indices, grid = _reachable_powers(
+    exponents, grid = _reachable_powers(
         larges[:exponent_slots], budget, high, lead - high, budget * lead + high
     )
-    multiples = [k * lead for k in range(1, budget + 1)]
-    hits = []
-    for value, (i, j) in _walk([_signed(multiples), _signed(grid)], low, high):
-        (b1, k), (b2, option) = divmod(i, budget), divmod(j, len(grid))
-        g = rest = indices[option]
-        digits = []
-        for _ in range(exponent_slots):
-            rest, e = divmod(rest, budget + 1)
-            digits.append(e)
-        exponents = tuple((n, e) for n, e in enumerate(reversed(digits), 1) if e)
-        if value <= _extended_window(basis, exponents, k + 1)[1]:
-            hits.append(((g, b1, b2, k), value, exponents))
-    for (_, b1, b2, k), value, exponents in sorted(hits):
-        if value not in skip:
-            yield value, make(basis, Parity.from_int(b1), Parity.from_int(b2), k + 1, exponents)
+    n = len(grid)
+    walk = _walk([_signed([k * lead for k in range(1, budget + 1)]), _signed(grid)], low, high)
+    hits = sorted((exponents[j % n], i // budget, j // n, i % budget, value) for value, (i, j) in walk)
+    for dense, b1, b2, k, value in hits:
+        if value in skip:
+            continue
+        sparse = tuple((slot, e) for slot, e in enumerate(dense, 1) if e)
+        if value <= _extended_window(basis, sparse, k + 1)[1]:
+            yield value, make(basis, Parity.from_int(b1), Parity.from_int(b2), k + 1, sparse)
 
 
 def _split_walk(basis: PrimeBasis, groups, budget: int):

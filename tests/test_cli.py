@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 from bisect import bisect_left
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -126,14 +128,51 @@ _SIEVE_FLAGS = {
 }
 
 
+# the largest list of primes the sieve writer tests compare, 2 included
+_REFERENCE_BOUND = 2_500_000
+
+
+def _emitted_primes(primes, fmt):
+    return emitted([Item({"value": str(p)}, str(p)) for p in primes], fmt)
+
+
+@functools.cache
+def _sieve_reference(fmt):
+    """The batch writer's rendering of the primes below _REFERENCE_BOUND,
+    2 included, made once per format and process: the primes, the text,
+    where each prime's digits start in it, and what follows the last
+    prime's digits (its record's close and the format's tail). Every record
+    has the same text around its digits, so consecutive primes' digits lie
+    one fixed step apart beyond the digits themselves."""
+    primes = sieve_primes_below(_REFERENCE_BOUND)
+    text = _emitted_primes(primes, fmt)
+    first = text.index("2")
+    step = text.index("3", first) - first - 1
+    starts = list(accumulate((len(str(p)) + step for p in primes[:-1]), initial=first))
+    assert all(text.startswith(str(p), start) for p, start in zip(primes, starts))
+    return primes, text, starts, text[starts[-1] + len(str(primes[-1])) :]
+
+
+def _expected_sieve(bound, with_two, fmt):
+    """The batch writer's rendering of the primes below bound (at least 4),
+    2 left out unless with_two, taken from the reference: its text up to
+    the last prime's digits, then what follows the reference's last digits.
+    Without 2, the text from 2's digits to 3's goes, which is the first
+    record and the separator after it, shifted by the text before a
+    record's digits (the same in every record)."""
+    primes, text, starts, end = _sieve_reference(fmt)
+    last = bisect_left(primes, bound) - 1
+    cut = starts[0] if with_two else starts[1]
+    return text[: starts[0]] + text[cut : starts[last] + len(str(primes[last]))] + end
+
+
 class TestSieveWriter:
     """The streamed sieve writer against the batch reference writer with
     one Item per prime, which is how every sieve was written before it
-    streamed."""
-
-    @staticmethod
-    def _emitted(primes, fmt):
-        return emitted([Item({"value": str(p)}, str(p)) for p in primes], fmt)
+    streamed. The reference is rendered once per format, at the largest
+    list; every other list's rendering is a cut of it (_expected_sieve),
+    which test_reference_cuts_equal_fresh_renderings holds to the batch
+    writer itself."""
 
     @staticmethod
     def _sieved(bound, fmt, flags):
@@ -142,31 +181,33 @@ class TestSieveWriter:
             assert run(["sieve", "--bound", str(bound), "--format", fmt, *flags]) == 0
         return out.getvalue()
 
-    def _check(self, reference, cases, fmt):
-        """Each (bound, flags) against the reference of the primes below bound in
-        `reference`, rendered once per list."""
-        expected = {}
+    def _check(self, cases, fmt):
+        """Each (bound, flags) against the reference's rendering of the primes
+        below bound."""
         for bound, flags in cases:
-            primes = reference[: bisect_left(reference, bound)]
-            if not _SIEVE_FLAGS[flags]:
-                primes = primes[1:]
-            key = (len(primes), primes[0])
-            if key not in expected:
-                expected[key] = self._emitted(primes, fmt)
-            assert self._sieved(bound, fmt, flags) == expected[key], (bound, flags)
+            expected = _expected_sieve(bound, _SIEVE_FLAGS[flags], fmt)
+            assert self._sieved(bound, fmt, flags) == expected, (bound, flags)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_reference_cuts_equal_fresh_renderings(self, fmt):
+        # bounds where 2, 3 and 5 are the whole list or near its end, a
+        # bound at a prime and one past it, block edges and a bound past a
+        # prefix's new digit, each with every flag set
+        for bound in (4, 6, 7, 8, 9, 2000, 10_007, 10_008, 100_003):
+            for flags, with_two in _SIEVE_FLAGS.items():
+                primes = sieve_primes_below(bound)[0 if with_two else 1 :]
+                assert _expected_sieve(bound, with_two, fmt) == _emitted_primes(primes, fmt), (bound, flags)
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_every_bound_to_2000(self, fmt):
         # the four flag sets take turns, so each meets about 500 bounds of every residue mod 4
         flag_sets = list(_SIEVE_FLAGS)
-        cases = [(bound, flag_sets[bound // 4 % 4]) for bound in range(9, 2001)]
-        self._check(sieve_primes_below(2000), cases, fmt)
+        self._check([(bound, flag_sets[bound // 4 % 4]) for bound in range(9, 2001)], fmt)
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_large_bounds(self, fmt):
         # 10^5 and 10^6 are among test_counts_around_whole_chunks' bounds
-        cases = [(2_500_000, flags) for flags in _SIEVE_FLAGS]
-        self._check(sieve_primes_below(2_500_000), cases, fmt)
+        self._check([(_REFERENCE_BOUND, flags) for flags in _SIEVE_FLAGS], fmt)
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_counts_around_whole_chunks(self, fmt):
@@ -177,8 +218,7 @@ class TestSieveWriter:
         # BLOCK*q + 1, so that block has no prime and writes nothing
         block = exclusion.BLOCK
         bounds = [block * q + d for q in (1, 2, 10, 100) for d in (-1, 0, 1, 2)]
-        reference = sieve_primes_below(max(bounds))
-        self._check(reference, [(bound, flags) for bound in bounds for flags in _SIEVE_FLAGS], fmt)
+        self._check([(bound, flags) for bound in bounds for flags in _SIEVE_FLAGS], fmt)
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_writes_each_block_as_it_comes(self, fmt, monkeypatch):
@@ -201,17 +241,15 @@ class TestSieveWriter:
         monkeypatch.setattr(cli, "prime_blocks", watched)
         with contextlib.redirect_stdout(out):
             assert run(["sieve", "--bound", "100000", "--format", fmt]) == 0
-        primes = sieve_primes_below(100_000)
         assert len(seen) == 100_000 // exclusion.BLOCK + 1
         # what the reference writes after the last record: the close of a
         # json array; every other format ends with its last record's line
-        full = self._emitted(primes, fmt)
+        full = _expected_sieve(100_000, True, fmt)
         tail = full[full.rindex("}") + 1 :] if fmt == "json" else ""
         assert out.getvalue() == full
         assert seen[0] == ""
         for i, text in enumerate(seen[1:-1], 1):
-            below = primes[: bisect_left(primes, i * exclusion.BLOCK)]
-            assert text + tail == self._emitted(below, fmt), i
+            assert text + tail == _expected_sieve(i * exclusion.BLOCK, True, fmt), i
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_show_exclusions_writes_each_row_as_it_comes(self, fmt, monkeypatch):
@@ -444,6 +482,22 @@ class TestRelationCommands:
         assert (code, out) == (2, "")
         assert "245760 candidates" in err
         assert run_cli(capsys, *argv, "--candidate-cap", "245760") == (0, "", "")
+
+
+class TestRefusedArguments:
+    @pytest.mark.parametrize("argv, message", [
+        # Parity.parse reads "-1" as an int, whose refusal it reports as unreadable
+        (["rel1", "--bound", "119", "--b1", "-1", "--b2", "1", "--k", "1"], "cannot read parity from '-1'"),
+        (["rel1", "--bound", "119", "--b1", "1", "--b2", "1", "--k", "1", "--m", "1,-1"],
+         "exponents must be >= 0, got -1"),
+        (["rel2", "--bound", "119", "--s1", "2,7", "--s2", "3,5", "--b1", "2", "--b2", "2",
+          "--k1", "1", "--k2", "3", "--k3", "-1"], "k3 must be >= 0"),
+        (["rel1", "--bound", "119", "--enumerate", "--budget", "-1"], "budget must be >= 0"),
+        (["rel3", "--bound", "119", "--enumerate", "--budget", "-1"], "budget must be >= 0"),
+        (["zscan", "--a", "0..2", "--c", "1", "--n", "2..5"], "base and step must start at 1 or above"),
+    ])
+    def test_exit_1_with_one_error_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 class TestZscan:
@@ -949,8 +1003,47 @@ class TestLogAndVerify:
                 assert out == "checked 2 record(s), 0 mismatch(es)\n" and err == ""
 
     def test_missing_log_file(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "verify", "--log", str(tmp_path / "nope.jsonl"))
-        assert code == 1
+        missing = tmp_path / "nope.jsonl"
+        assert run_cli(capsys, "verify", "--log", str(missing)) == (
+            1, "", f"error: log file {missing} does not exist\n",
+        )
+
+    def test_log_that_cannot_be_opened_exits_1(self, capsys, tmp_path, monkeypatch):
+        # a directory, or a file in a directory that does not exist: one
+        # error line naming the path, nothing on stdout
+        missing = tmp_path / "missing-dir" / "x.jsonl"
+        cases = [
+            ([], ["verify", "--log", str(tmp_path)], f"{tmp_path}: Is a directory"),
+            ([], ["sieve", "--bound", "100", "--log", str(tmp_path)], f"{tmp_path}: Is a directory"),
+            ([], ["sieve", "--bound", "100", "--log", str(missing)], f"{missing}: No such file or directory"),
+            ([("PRIMEKIT_LOG", str(missing))], ["rel1", "--bound", "119", "--b1", "2", "--b2", "1", "--k", "1"],
+             f"{missing}: No such file or directory"),
+        ]
+        for env, argv, reason in cases:
+            for name, value in env:
+                monkeypatch.setenv(name, value)
+            assert run_cli(capsys, *argv) == (1, "", f"error: cannot open log file {reason}\n"), argv
+        assert not missing.parent.exists()
+
+    def test_log_that_is_not_utf8_names_the_line(self, capsys, tmp_path):
+        log = tmp_path / "bytes.jsonl"
+        for data, lineno in ((b"\xff\xfe", 1), (b"\n" + json.dumps(self._GOOD).encode() + b"\n\xff\xfe\n", 3)):
+            log.write_bytes(data)
+            assert run_cli(capsys, "verify", "--log", str(log)) == (
+                1, "", f"error: log file {log} line {lineno}: not UTF-8 (invalid start byte)\n",
+            )
+
+    def test_blank_lines_are_skipped_and_counted(self, capsys, tmp_path):
+        # blank and all-space lines are passed over, but still count for the
+        # number of a later line that is refused
+        log = tmp_path / "blank.jsonl"
+        good = json.dumps(self._GOOD)
+        log.write_text(f"\n{good}\n  \n\n{good}\n\n")
+        assert run_cli(capsys, "verify", "--log", str(log)) == (0, "checked 2 record(s), 0 mismatch(es)\n", "")
+        log.write_text(f"{good}\n\n \nnot json\n")
+        assert run_cli(capsys, "verify", "--log", str(log)) == (
+            1, "", "error: log line 4: invalid JSON (Expecting value)\n",
+        )
 
     def test_accepted_certificates_are_logged(self, capsys, tmp_path):
         log = tmp_path / "rel.jsonl"
@@ -1003,6 +1096,24 @@ class TestConfig:
         monkeypatch.setenv("PRIMEKIT_FORMAT", "json")
         code, out, _ = run_cli(capsys, "sieve", "--bound", "10", "--format", "text")
         assert out.splitlines() == ["2", "3", "5", "7"]
+
+    @pytest.mark.parametrize("env, argv, message", [
+        # the environment half of each integer setting, read only when its
+        # flag is left out
+        ({"PRIMEKIT_CANDIDATE_CAP": "x"}, ["rel1", "--bound", "24", "--enumerate", "--budget", "2"],
+         "PRIMEKIT_CANDIDATE_CAP must be an integer, got 'x'"),
+        ({"PRIMEKIT_SEED_CAP_DIGITS": "1e3"}, ["bigsearch", "--seed", "13", "--max-n", "18"],
+         "PRIMEKIT_SEED_CAP_DIGITS must be an integer, got '1e3'"),
+        ({"PRIMEKIT_WORKERS": "two"}, ["sieve", "--bound", "10"], "PRIMEKIT_WORKERS must be an integer, got 'two'"),
+        ({"PRIMEKIT_FORMAT": "xml"}, ["sieve", "--bound", "10"], "unsupported format 'xml'"),
+        ({}, ["sieve", "--bound", "10", "--candidate-cap", "0"], "resource caps must be positive"),
+        ({}, ["bigsearch", "--seed", "13", "--max-n", "18", "--seed-cap-digits", "0"],
+         "resource caps must be positive"),
+    ])
+    def test_bad_settings_exit_1(self, capsys, monkeypatch, env, argv, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
     def test_workers_must_be_positive(self, capsys):
         code, _, err = run_cli(capsys, "sieve", "--bound", "10", "--workers", "0")

@@ -8,6 +8,9 @@ from helpers import slow_is_prime, slow_primes_below
 from primekit.errors import ResourceLimitError, ValidationError
 from primekit.oracle import (
     DETERMINISTIC_LIMIT,
+    PROVEN_COMPOSITE,
+    PROVEN_PRIME,
+    PrimeBasis,
     is_prime,
     large_primes,
     next_prime_after,
@@ -109,7 +112,7 @@ class TestIsPrime:
         rng = random.Random(7)
         for _ in range(50):
             x = rng.randrange(2, 10 ** 12)
-            assert is_prime(x).is_proven
+            assert is_prime(x).status in (PROVEN_PRIME, PROVEN_COMPOSITE)
 
     @given(st.integers(min_value=4, max_value=10 ** 9))
     @settings(max_examples=150, deadline=None)
@@ -160,6 +163,16 @@ class TestPrimeBasis:
         basis = primes_leq_sqrt(119)
         assert large_primes(basis, 4) == (11, 13, 17, 19)
 
+    @pytest.mark.parametrize("small, next_prime, message", [
+        ((), 3, "prime basis needs at least one small prime"),
+        ((3, 2), 5, "small_primes must be strictly increasing"),
+        ((2, 2, 3), 5, "small_primes must be strictly increasing"),
+        ((2, 3), 3, "next_prime must exceed every small prime"),
+    ])
+    def test_malformed_basis_rejected(self, small, next_prime, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            PrimeBasis(10, small, next_prime)
+
     def test_next_prime_after(self):
         assert next_prime_after(10) == 11
         assert next_prime_after(11) == 13
@@ -201,6 +214,14 @@ class TestOddPrimeProduct:
     def test_digit_cap_names_the_cap(self):
         with pytest.raises(ResourceLimitError, match="cap of 10"):
             odd_prime_product(1000, max_digits=10)
+
+    def test_digit_cap_from_the_logarithms(self):
+        # 0.21 * 100 = 21 digits passes the first estimate under a cap of 30;
+        # the sum of log10 p then gives the 37 digits of the product
+        with pytest.raises(ResourceLimitError, match=r"^odd-prime product up to 100 needs about 37 decimal "
+                                                     r"digits, over the configured cap of 30$"):
+            odd_prime_product(100, max_digits=30)
+        assert len(str(odd_prime_product(100, max_digits=37))) == 37
 
     def test_limit_below_three_rejected(self):
         with pytest.raises(ValidationError):

@@ -133,9 +133,11 @@ def test_relation1_at_budget_32_with_two_slots(construction, bound):
         assert len(want) >= 30
 
 
-def _filtered(grid, near, far, top):
-    """(index, value) of the full grid's products in [1, near] or [far, top]."""
-    return [(i, g) for i, g in enumerate(grid) if g <= near or far <= g <= top]
+def _filtered(primes, budget, near, far, top):
+    """(exponents, value) of the full grid's products in [1, near] or
+    [far, top], the exponents from itertools.product in the grid's order."""
+    grid = zip(product(range(budget + 1), repeat=len(primes)), _full_power_grid(primes, budget))
+    return [(es, g) for es, g in grid if g <= near or far <= g <= top]
 
 
 # (primes, budget, high, lead): high, lead - high and budget * lead + high
@@ -158,7 +160,7 @@ def test_reachable_powers_keep_their_inclusive_edges(primes, budget, high, lead)
     # each range one step narrower at each end
     for near, far, top in (edges, (high - 1, lead - high + 1, budget * lead + high - 1)):
         got = list(zip(*_reachable_powers(primes, budget, near, far, top)))
-        assert got == _filtered(grid, near, far, top), (near, far, top)
+        assert got == _filtered(primes, budget, near, far, top), (near, far, top)
 
 
 @pytest.mark.parametrize("construction", [RELATION1, RELATION1_FACTORIAL])
@@ -175,7 +177,7 @@ def test_reachable_powers_equal_the_filtered_full_grid(construction):
             for budget in range(1, 7):
                 near, far, top = high, lead - high, budget * lead + high
                 got = list(zip(*_reachable_powers(larges[:slots], budget, near, far, top)))
-                assert got == _filtered(_full_power_grid(larges[:slots], budget), near, far, top), (
+                assert got == _filtered(larges[:slots], budget, near, far, top), (
                     bound, slots, budget,
                 )
                 overlapping += far <= near
