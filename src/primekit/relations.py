@@ -20,8 +20,8 @@ Relations 2 and 3 are one relation over a split of the basis primes into
 groups: R = sum over the groups g of +-(P/P_g)*k_g, plus +-P*k_last, where
 P_g is the product of group g and no prime of g divides k_g. relation2
 splits the basis into (group2, group1), relation3 into one group per prime
-(_split); one evaluator (_eval_split), one choice of multipliers
-(_split_choices) and one walk setup (_split_walk) serve both.
+(_split); one evaluator (_eval_split) and one choice of multipliers
+(_split_choices) serve both.
 
 Enumeration walks one engine for every shape. Each shape is a list of
 terms, each term a list of signed ints: its values with the + sign, then
@@ -35,13 +35,14 @@ bisecting the sorted half once per left sum. relation1 puts its
 2 * budget signed multiples k * lead on the left and its power products g
 on the right, but only the g that can reach the window (low, high]: a g
 outside [1, high] and [lead - high, budget * lead + high] pairs with no
-sign and no multiplier, so it is never built (_relation1_points); each g
-carries its exponents. The points in the window are evaluated in grid-key
-order, the order of the nested loops over signs, multipliers and
-exponents that define the grid, so the same grid always yields the same
-certificates in the same order. Deduplicated enumeration skips a hit
-whose sum is already certified; a hit is read back (its signs, keys and
-relation1's own window) only once it is not skipped.
+sign and no multiplier, so it is never built; each g carries its
+exponents. The points in the window are evaluated in grid-key order, the
+order of the nested loops over signs, multipliers and exponents that
+define the grid, so the same grid always yields the same certificates in
+the same order. Deduplicated enumeration skips a hit whose sum is already
+certified. One read-back (_points) serves every shape: a hit that is not
+skipped is read back through one (parity, key) table per term, and a
+relation1 hit is then held to its own window.
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ class Parity(enum.Enum):
         if t in ("even", "odd"):
             return cls(t)
         try:
-            return cls.from_int(int(t))
+            b = int(t)
         except ValueError:
             raise ValidationError(f"cannot read parity from {text!r}") from None
+        return cls.from_int(b)
 
     def flipped(self) -> "Parity":
         return Parity.ODD if self is Parity.EVEN else Parity.EVEN
@@ -334,11 +336,8 @@ def certificate_window(basis: PrimeBasis) -> tuple[int, int]:
     return basis.largest, basis.next_prime ** 2 - 1
 
 
-def _judge(
-    value: int, construction: str, params, window, reason_override=None, certified: bool = True
-) -> CandidateCertificate:
+def _judge(value: int, construction: str, params, window, reason=None) -> CandidateCertificate:
     low, high = window
-    reason = reason_override
     if reason is None:
         if value <= 0:
             reason = "not a natural number"
@@ -348,7 +347,7 @@ def _judge(
             reason = f"above window high {high}"
     accepted = reason is None
     verdict = is_prime(abs(value))
-    if certified and accepted and verdict.status == PROVEN_COMPOSITE:
+    if accepted and verdict.status == PROVEN_COMPOSITE:
         # the construction guarantees primality here; a refutation means the
         # implementation is wrong and must not pass silently
         raise InvariantViolation(
@@ -422,31 +421,26 @@ def eval_relation1_factorial(params: Relation1FactorialParams) -> CandidateCerti
     return _judge(value, RELATION1_FACTORIAL, params, window)
 
 
-def _eval_split(construction: str, params, groups, signs, ks, check_constraints: bool, violation):
+def _eval_split(construction: str, params, groups, signs, ks, violation):
     """Judge the signed sum over a split of the basis: term g is
-    +-(P/P_g)*k_g and the last term +-P*k_last. Checked, the reason is
+    +-(P/P_g)*k_g and the last term +-P*k_last. The reason is
     violation(g, p) for the first prime p of a group g that divides k_g."""
     value = sum(sign.sign * c * k for sign, c, k in zip(signs, _split_coefficients(groups), ks))
-    broken = check_constraints and [
-        (g, p) for g, (group, k) in enumerate(zip(groups, ks)) for p in group if k % p == 0
-    ]
+    broken = [(g, p) for g, (group, k) in enumerate(zip(groups, ks)) for p in group if k % p == 0]
     reason = f"constraint violation: {violation(*broken[0])}" if broken else None
-    window = certificate_window(params.basis)
-    return _judge(value, construction, params, window, reason, certified=check_constraints)
+    return _judge(value, construction, params, certificate_window(params.basis), reason)
 
 
-def eval_relation2(params: Relation2Params, check_constraints: bool = True) -> CandidateCertificate:
+def eval_relation2(params: Relation2Params) -> CandidateCertificate:
     groups = _split(RELATION2, params.basis, (params.group1, params.group2))
     signs, ks = (params.sign1, params.sign2, params.sign3), (params.k1, params.k2, params.k3)
-    return _eval_split(
-        RELATION2, params, groups, signs, ks, check_constraints, lambda g, p: f"k{g + 1} divisible by {p}"
-    )
+    return _eval_split(RELATION2, params, groups, signs, ks, lambda g, p: f"k{g + 1} divisible by {p}")
 
 
-def eval_relation3(params: Relation3Params, check_constraints: bool = True) -> CandidateCertificate:
+def eval_relation3(params: Relation3Params) -> CandidateCertificate:
     return _eval_split(
         RELATION3, params, _split(RELATION3, params.basis), params.signs, params.multipliers,
-        check_constraints, lambda g, p: f"multiplier for {p} divisible by {p}",
+        lambda g, p: f"multiplier for {p} divisible by {p}",
     )
 
 
@@ -556,12 +550,7 @@ def enumerate_certified(
     certified: set[int] = set()
     # the walk sums to skip: none when every hit is to be judged
     skip = () if verbose else certified
-    if construction in (RELATION1, RELATION1_FACTORIAL):
-        points = _relation1_points(construction, basis, budget, exponent_slots, skip)
-    elif construction == RELATION2:
-        points = _relation2_points(basis, budget, partition, skip)
-    else:
-        points = _relation3_points(basis, budget, skip)
+    points = _points(construction, basis, budget, exponent_slots, partition, skip)
     evaluate = evaluator(construction)
     certs = []
     for value, params in points:
@@ -649,81 +638,87 @@ def _reachable_powers(primes: tuple[int, ...], budget: int, near: int, far: int,
     return exponents, values
 
 
-def _relation1_points(construction: str, basis: PrimeBasis, budget: int, exponent_slots: int, skip=()):
-    """(value, params) for each relation1 point in its extended window whose
-    value is not in `skip` when it is reached, in grid order.
+def _points(
+    construction: str,
+    basis: PrimeBasis,
+    budget: int,
+    exponent_slots: int = 2,
+    partition: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+    skip=(),
+):
+    """(value, params) for each grid point in the window whose value is not
+    in `skip` when it is reached, in grid order.
 
-    The terms are +-k * lead, first since there are only 2 * budget of
-    them, and +-g for the products g of large-prime powers that can reach
+    The setup gives each term's option keys (multipliers, or relation1's
+    exponent tuples) and unsigned values, the walk's window, a sort key on
+    the option indices for grid order (relation3's walk order is its grid
+    order) and how a hit's options, one (parity, key) per term, become
+    params, or None. A hit is read back through one (parity, key) table per
+    term, the layout of _signed, only once its value is not skipped.
+
+    relation1's terms are +-k * lead, first since there are only 2 * budget
+    of them, and +-g for the products g of large-prime powers that can reach
     the walk's window (low, high], the widest extended window. A sum
     s1 * k * lead + s2 * g with 1 <= k <= budget lands there only if
     g <= high - lead (+, +), k * lead - high <= g < k * lead - low (+, -)
     or k * lead + low < g <= k * lead + high (-, +); (-, -) is negative.
-    So a g outside [1, high] and [lead - high, budget * lead + high]
-    never pairs, and _reachable_powers leaves it out of the grid. The hits
-    are sorted by grid key (exponents, b1, b2, k); a hit is read back only
-    once its value is not skipped, and then held to its own window, which
-    depends on its exponents and k.
+    So a g outside [1, high] and [lead - high, budget * lead + high] never
+    pairs, and _reachable_powers leaves it out of the grid. Its grid key is
+    (exponents, b1, b2, k), and a hit is held to its own window, which
+    depends on its exponents and k. relation2's grid key is its three
+    signs, then its three multipliers.
     """
-    if construction == RELATION1_FACTORIAL:
-        lead, make = factorial(isqrt(basis.bound)), Relation1FactorialParams
+    if construction in (RELATION1, RELATION1_FACTORIAL):
+        if construction == RELATION1_FACTORIAL:
+            lead, make = factorial(isqrt(basis.bound)), Relation1FactorialParams
+        else:
+            lead, make = _products(basis.small_primes)[0], Relation1Params
+        larges = large_primes(basis, exponent_slots + 1)
+        high = larges[-1] ** 2 - 1
+        window = basis.largest, high
+        exponents, powers = _reachable_powers(
+            larges[:exponent_slots], budget, high, lead - high, budget * lead + high
+        )
+        keys = [range(1, budget + 1), exponents]
+        values = [[k * lead for k in keys[0]], powers]
+        n = len(powers)
+
+        def order(hit):
+            # option j of the powers term is +-powers[j % n], and the
+            # exponents are in grid order, so j % n orders them
+            i, j = hit[1]
+            return j % n, i // budget, j // n, i % budget
+
+        def to_params(value, options):
+            (b1, k), (b2, dense) = options
+            sparse = tuple((slot, e) for slot, e in enumerate(dense, 1) if e)
+            if value <= _extended_window(basis, sparse, k)[1]:
+                return make(basis, b1, b2, k, sparse)
+
     else:
-        lead, make = _products(basis.small_primes)[0], Relation1Params
-    larges = large_primes(basis, exponent_slots + 1)
-    low, high = basis.largest, larges[-1] ** 2 - 1
-    exponents, grid = _reachable_powers(
-        larges[:exponent_slots], budget, high, lead - high, budget * lead + high
-    )
-    n = len(grid)
-    walk = _walk([_signed([k * lead for k in range(1, budget + 1)]), _signed(grid)], low, high)
-    hits = sorted((exponents[j % n], i // budget, j // n, i % budget, value) for value, (i, j) in walk)
-    for dense, b1, b2, k, value in hits:
-        if value in skip:
-            continue
-        sparse = tuple((slot, e) for slot, e in enumerate(dense, 1) if e)
-        if value <= _extended_window(basis, sparse, k + 1)[1]:
-            yield value, make(basis, Parity.from_int(b1), Parity.from_int(b2), k + 1, sparse)
+        groups = _split(construction, basis, partition)
+        keys = _split_choices(groups, budget)
+        values = [[c * k for k in ks] for c, ks in zip(_split_coefficients(groups), keys)]
+        window = certificate_window(basis)
+        if construction == RELATION2:
+            # option i of a term is odd-signed when i >= len(ks); with the
+            # signs fixed, the order of the indices is the order of the ks
+            sizes = list(map(len, keys))
+            order = lambda hit: (tuple(map(ge, hit[1], sizes)), hit[1])
 
+            def to_params(value, options):
+                signs, ks = zip(*options)
+                return Relation2Params(basis, groups[1], groups[0], *signs, *ks)
 
-def _split_walk(basis: PrimeBasis, groups, budget: int):
-    """The walk over a split's terms, +-(P/P_g)*k_g for each group g and
-    then +-P*k_last: its window hits as (sum, option indices) in grid
-    order, and each term's (parity, k) table for reading them back."""
-    choices = _split_choices(groups, budget)
-    terms = [_signed([c * k for k in ks]) for c, ks in zip(_split_coefficients(groups), choices)]
-    tables = [[(parity, k) for parity in (Parity.EVEN, Parity.ODD) for k in ks] for ks in choices]
-    return _walk(terms, *certificate_window(basis)), tables
-
-
-def _relation2_points(
-    basis: PrimeBasis,
-    budget: int,
-    partition: tuple[tuple[int, ...], tuple[int, ...]] | None,
-    skip=(),
-):
-    """(value, params) for each relation2 point in the window whose value
-    is not in `skip` when it is reached, in grid order (the three signs,
-    then the three multipliers); the terms are +-P1*k1, +-P2*k2 and
-    +-P1*P2*k3."""
-    group1, group2 = partition or default_partition(basis)
-    walk, tables = _split_walk(basis, _split(RELATION2, basis, (group1, group2)), budget)
-    # option i of a term is odd-signed when i >= len(ks); with the signs
-    # fixed, the order of the indices is the order of the multipliers
-    sizes = [len(table) // 2 for table in tables]
-    hits = sorted((tuple(map(ge, indices, sizes)), indices, value) for value, indices in walk)
-    for _, indices, value in hits:
+        else:
+            order = None
+            to_params = lambda value, options: Relation3Params(basis, *zip(*options))
+    hits = _walk([_signed(term) for term in values], *window)
+    if order is not None:
+        hits = sorted(hits, key=order)
+    tables = [list(product((Parity.EVEN, Parity.ODD), term)) for term in keys]
+    for value, indices in hits:
         if value not in skip:
-            signs, ks = zip(*map(list.__getitem__, tables, indices))
-            yield value, Relation2Params(basis, group1, group2, *signs, *ks)
-
-
-def _relation3_points(basis: PrimeBasis, budget: int, skip=()):
-    """(value, params) for each relation3 point in the window whose value
-    is not in `skip` when it is reached, in grid order; the terms are
-    +-(P/p)*k_p for each basis prime p, then +-P*k_last."""
-    walk, tables = _split_walk(basis, _split(RELATION3, basis), budget)
-    for value, indices in walk:
-        if value not in skip:
-            signs, ks = zip(*map(list.__getitem__, tables, indices))
-            yield value, Relation3Params(basis, signs, ks)
-
+            point = to_params(value, map(list.__getitem__, tables, indices))
+            if point is not None:
+                yield value, point

@@ -486,8 +486,8 @@ class TestRelationCommands:
 
 class TestRefusedArguments:
     @pytest.mark.parametrize("argv, message", [
-        # Parity.parse reads "-1" as an int, whose refusal it reports as unreadable
-        (["rel1", "--bound", "119", "--b1", "-1", "--b2", "1", "--k", "1"], "cannot read parity from '-1'"),
+        # a negative sign exponent is refused by its value, here and in the last case
+        (["rel1", "--bound", "119", "--b1", "-1", "--b2", "1", "--k", "1"], "parity exponent must be >= 0, got -1"),
         (["rel1", "--bound", "119", "--b1", "1", "--b2", "1", "--k", "1", "--m", "1,-1"],
          "exponents must be >= 0, got -1"),
         (["rel2", "--bound", "119", "--s1", "2,7", "--s2", "3,5", "--b1", "2", "--b2", "2",
@@ -495,6 +495,7 @@ class TestRefusedArguments:
         (["rel1", "--bound", "119", "--enumerate", "--budget", "-1"], "budget must be >= 0"),
         (["rel3", "--bound", "119", "--enumerate", "--budget", "-1"], "budget must be >= 0"),
         (["zscan", "--a", "0..2", "--c", "1", "--n", "2..5"], "base and step must start at 1 or above"),
+        (["rel3", "--bound", "119", "--b", "2,-1,2,2", "--k", "1,1,1,1"], "parity exponent must be >= 0, got -1"),
     ])
     def test_exit_1_with_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

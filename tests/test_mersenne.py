@@ -100,6 +100,10 @@ class TestMultipleStep:
         with pytest.raises(ValidationError):
             check_multiple_step_composite(1, 1, 6)
 
+    def test_multiplier_zero_rejected(self):
+        with pytest.raises(ValidationError, match="multiplier must be >= 1"):
+            check_multiple_step_composite(2, 0, 5)
+
 
 class TestStrictGrowth:
     def test_square_case(self):
@@ -107,6 +111,14 @@ class TestStrictGrowth:
 
     def test_fifth_powers(self):
         assert check_strict_growth(5, 50)
+
+    def test_exponent_below_two_rejected(self):
+        with pytest.raises(ValidationError, match="exponent must be >= 2"):
+            check_strict_growth(1, 5)
+
+    def test_max_base_below_two_rejected(self):
+        with pytest.raises(ValidationError, match="max_base must be >= 2"):
+            check_strict_growth(5, 1)
 
     def test_beats_mersenne_at_boundary(self):
         # n=3, a=2: 27 - 8 = 19 > 2^3 - 1 = 7

@@ -52,6 +52,10 @@ class TestSievePrimesBelow:
         # small segment size forces several segments over the same range
         assert sieve_primes_below(200_000, segment_size=1 << 10) == sieve_primes_below(200_000)
 
+    def test_segment_below_64_rejected(self):
+        with pytest.raises(ValidationError, match="segment size must be at least 64"):
+            sieve_primes_below(10 ** 5, segment_size=63)
+
     def test_prime_count_at_one_million(self):
         assert len(sieve_primes_below(10 ** 6)) == 78498
 

@@ -11,7 +11,7 @@ The relation1 forms are also compared at the benchmark's shape: budget 32
 with 2 exponent slots, where the power grid has 2 * 33**2 signed options
 against 64 signed multiples. relation1 walks only the power products that
 can reach the window; that pruned grid is held to the full one filtered by
-the same rule (index, value and order), and its walk to the full grid's
+the same rule (exponents, value and order), and its walk to the full grid's
 walk at the benchmark's 3-slot, budget-15 shape. The walk itself is held
 to a brute force over random terms and windows, and the worked examples'
 errata search to the nested loops.
@@ -47,7 +47,7 @@ from primekit.relations import (
     RELATION2,
     RELATION3,
     _reachable_powers,
-    _relation1_points,
+    _points,
     _walk,
     enumerate_certified,
     enumeration_grid_size,
@@ -192,7 +192,7 @@ def test_reachable_powers_equal_the_filtered_full_grid(construction):
 def test_pruned_relation1_walk_matches_the_full_grid(construction, bound):
     basis = primes_leq_sqrt(bound)
     want = _relation1_points_full_grid(construction, basis, 15, 3)
-    assert list(_relation1_points(construction, basis, 15, 3)) == want
+    assert list(_points(construction, basis, 15, 3)) == want
     if bound == 24:
         # hits with each sign pair that can land in the window: all but (-, -)
         assert len({(p.sign_small, p.sign_large) for _, p in want}) == 3
@@ -306,10 +306,10 @@ def test_a_rejected_hit_does_not_skip_its_value(construction, bound, budget, eva
 @pytest.mark.parametrize(
     "command, points",
     [
-        ("rel1", "_relation1_points"),
-        ("rel1f", "_relation1_points"),
-        ("rel2", "_relation2_points"),
-        ("rel3", "_relation3_points"),
+        ("rel1", "_points"),
+        ("rel1f", "_points"),
+        ("rel2", "_points"),
+        ("rel3", "_points"),
     ],
 )
 @pytest.mark.parametrize("multiset", [False, True])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import slow_is_prime
 from primekit import oracle, relations
 from primekit.errors import ResourceLimitError, ValidationError
-from primekit.oracle import primes_leq_sqrt
+from primekit.oracle import PROVEN_COMPOSITE, primes_leq_sqrt
 from primekit.reference import (
     RELATION2_COLUMNS,
     RELATION3_COLUMNS,
@@ -110,6 +110,10 @@ class TestRelation1:
         with pytest.raises(ValidationError):
             Relation1Params(BASIS_119, E, O, 0)
 
+    def test_large_prime_index_zero_rejected(self):
+        with pytest.raises(ValidationError, match="large-prime indices start at 1, got 0"):
+            Relation1Params(BASIS_119, E, O, 1, ((0, 2),))
+
     def test_window_extends_with_nonzero_descending_exponents(self):
         # both large primes present: the window reaches the third square
         cert = eval_relation1(Relation1Params(BASIS_119, E, O, 2, ((1, 1), (2, 1))))
@@ -199,12 +203,14 @@ class TestRelation2:
             assert eval_relation2(params).reason == f"constraint violation: {reason}"
 
     def test_constraint_is_necessary(self):
-        # dropping the k2 constraint admits 14 + 15*7 = 119 = 7*17
-        params = Relation2Params(BASIS_119, (2, 7), (3, 5), E, E, E, 1, 7, 0)
-        assert not eval_relation2(params).accepted
-        unchecked = eval_relation2(params, check_constraints=False)
-        assert unchecked.accepted and unchecked.value == 119
-        assert not unchecked.verdict.is_prime
+        # only the k2 constraint rejects 14 + 15*7 = 119 = 7*17, which lies
+        # inside the window
+        cert = eval_relation2(Relation2Params(BASIS_119, (2, 7), (3, 5), E, E, E, 1, 7, 0))
+        assert not cert.accepted
+        assert cert.reason == "constraint violation: k2 divisible by 7"
+        low, high = cert.window
+        assert cert.signed_value == 119 and low < 119 <= high
+        assert cert.verdict.status == PROVEN_COMPOSITE
 
     def test_refuted_certified_acceptance_is_loud(self):
         # a certified construction accepting a composite is an implementation
@@ -269,11 +275,14 @@ class TestRelation3:
         assert not cert.accepted and "divisible by 2" in cert.reason
 
     def test_constraint_is_necessary(self):
-        # 2*105 - 70 - 42 - 30 = 68 = 2*34 sits in the window
-        params = Relation3Params(BASIS_119, (E, O, O, O, E), (2, 1, 1, 1, 0))
-        unchecked = eval_relation3(params, check_constraints=False)
-        assert unchecked.accepted and unchecked.value == 68
-        assert not unchecked.verdict.is_prime
+        # only the constraint on 2 rejects 2*105 - 70 - 42 - 30 = 68 = 2*34,
+        # which lies inside the window
+        cert = eval_relation3(Relation3Params(BASIS_119, (E, O, O, O, E), (2, 1, 1, 1, 0)))
+        assert not cert.accepted
+        assert cert.reason == "constraint violation: multiplier for 2 divisible by 2"
+        low, high = cert.window
+        assert cert.signed_value == 68 and low < 68 <= high
+        assert cert.verdict.status == PROVEN_COMPOSITE
 
     def test_length_validation(self):
         with pytest.raises(ValidationError):
