@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -73,9 +74,19 @@ class RunConfig:
     paper_faithful: bool
 
 
+_NEGATIVE_INT_LIST = re.compile(r"-\d+(,-?\d+)+")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep 1 for validation
         raise ValidationError(message)
+
+    def _parse_optional(self, arg_string):
+        # a comma list of integers that starts with "-" (--b -1,1,1,1) is a
+        # value, as argparse already reads a lone negative number
+        if _NEGATIVE_INT_LIST.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _env(name: str) -> str | None:

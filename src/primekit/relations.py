@@ -28,21 +28,26 @@ terms, each term a list of signed ints: its values with the + sign, then
 with the - sign, each half in the order of its grid keys (multipliers or
 exponents). A grid point is one option per term. Only points whose sum
 lies in the window can be accepted, so the walk finds just those,
-meet-in-the-middle (Horowitz and Sahni, 1974): it builds the partial sums
-of each half of the terms as plain ints, sorts the right half's once
-through an index permutation, and loops over the left half's sums,
-bisecting the sorted half once per left sum. relation1 puts its
-2 * budget signed multiples k * lead on the left and its power products g
-on the right, but only the g that can reach the window (low, high]: a g
-outside [1, high] and [lead - high, budget * lead + high] pairs with no
-sign and no multiplier, so it is never built; each g carries its
-exponents. The points in the window are evaluated in grid-key order, the
-order of the nested loops over signs, multipliers and exponents that
-define the grid, so the same grid always yields the same certificates in
-the same order. Deduplicated enumeration skips a hit whose sum is already
-certified. One read-back (_points) serves every shape: a hit that is not
-skipped is read back through one (parity, key) table per term, and a
-relation1 hit is then held to its own window.
+meet-in-the-middle (Horowitz and Sahni, 1974): it ranks the right half's
+choices once (each its sum and its rank in one int, so one plain sort
+orders them) and loops over the left half's sums, bisecting the ranked
+half once per left sum. relation1 puts its 2 * budget signed multiples
+k * lead on the left and its power products g on the right, but only the
+g that can reach the window (low, high]: a g outside [1, high] and
+[lead - high, budget * lead + high] pairs with no sign and no multiplier,
+and a prefix product that can reach neither range is dropped at the
+prime it passes, so neither is ever built; each g carries its exponents.
+The points in the window are evaluated in grid-key order, the order of
+the nested loops over signs, multipliers and exponents that define the
+grid, so the same grid always yields the same certificates in the same
+order. Deduplicated enumeration skips a point whose sum is already
+certified, inside the walk: a left sum's slice of totals already
+certified is dropped by one set difference, before any point of it is
+read back. relation3's one walk and relation2's eight sign blocks, each
+walked in turn, yield their points in grid order; relation1 sorts its
+points by grid key after its walk, and holds each to its own window
+through a table of window tops (_window_tops). One read-back (_points)
+turns every walk's points into params.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, compress, product
 from math import factorial, isqrt, prod
 from operator import attrgetter, ge
 
@@ -481,7 +486,11 @@ def _split_coefficients(groups) -> tuple[int, ...]:
 
 
 def _coprime_multipliers(budget: int, primes: tuple[int, ...]) -> list[int]:
-    return [k for k in range(1, budget + 1) if all(k % p for p in primes)]
+    """The k in [1, budget] that no prime of `primes` divides: a sieve."""
+    keep = bytearray([1]) * (budget + 1)
+    for p in primes:
+        keep[p::p] = bytes(len(range(p, budget + 1, p)))
+    return list(compress(range(1, budget + 1), keep[1:]))
 
 
 def _split_choices(groups, budget: int) -> list:
@@ -581,30 +590,87 @@ def _sums(terms) -> list[int]:
     return sums
 
 
-def _walk(terms, low: int, high: int):
-    """Every choice of one option per term whose values sum into (low, high],
-    as (sum, option indices), in ascending order of the indices.
+def _ranked(terms) -> tuple[list[int], int, list[int]]:
+    """(sizes, shift, ordered): the right half's term sizes and its choices,
+    each the one int (s << shift) + j for its sum s and its rank j in the
+    order of itertools.product, sorted once. One plain sort thus orders
+    them by sum, then rank, and those with sum s lie in
+    [s << shift, (s + 1) << shift)."""
+    sizes = [len(term) for term in terms]
+    stride = prod(sizes)
+    shift = (stride - 1).bit_length()
+    ranked = []
+    for term in terms:
+        stride //= len(term)
+        ranked.append([(value << shift) + i * stride for i, value in enumerate(term)])
+    return sizes, shift, sorted(_sums(ranked))
 
-    Meet in the middle: the right half's sums are sorted once through an
-    index permutation, and the loop runs over the left half's sums a,
-    bisecting the sorted right half for the slice in (low - a, high - a];
-    so the smaller half belongs on the left. The index tuples are built
-    only once a slice is nonempty.
-    """
-    left, right = terms[: len(terms) // 2], terms[len(terms) // 2 :]
-    sums = _sums(right)
-    order = sorted(range(len(sums)), key=sums.__getitem__)
-    ordered = list(map(sums.__getitem__, order))
-    indices = None
-    for i, a in enumerate(_sums(left)):
-        first = bisect_right(ordered, low - a)
-        last = bisect_right(ordered, high - a)
+
+def _walk(terms, low: int, high: int, skip=()):
+    """Every choice of one option per term whose values sum into (low, high],
+    as (sum, option indices), in ascending order of the indices, leaving
+    out a choice whose sum is in `skip` when it is reached.
+
+    Meet in the middle (_meet): the right half's choices are sorted once
+    and the loop runs over the left half's, so the smaller half belongs on
+    the left."""
+    half = len(terms) // 2
+    left, right = terms[:half], _ranked(terms[half:])
+    sizes = [len(term) for term in left]
+    for total, (i, j) in _meet(left, right, low, high, skip):
+        yield total, _unrank(i, sizes) + _unrank(j, right[0])
+
+
+def _meet(left, right, low: int, high: int, skip):
+    """(sum, (i, j)) for each choice of the terms `left`, then of the terms
+    ranked in `right` (_ranked), whose sum lies in (low, high] and is not
+    in `skip` when it is reached, i and j its ranks on either side, in
+    ascending order of (i, j).
+
+    For each left sum a, the ranked right choices are bisected for the
+    slice whose sums lie in (low - a, high - a]. While `skip` holds values,
+    a slice whose distinct totals are all in it is passed over at C speed,
+    by one set difference, so a certified value costs nothing per point.
+    In any other slice each choice is checked against `skip` as it is
+    reached, since the caller may add to it between two choices."""
+    _, shift, ordered = right
+    mask = (1 << shift) - 1
+    # the distinct right sums, ascending: built once the slices scanned
+    # for their totals add up to as many choices as building them scans
+    distinct, scanned = None, 0
+    # the left sums shifted as the right's, to bisect with one subtraction
+    above, top = (low + 1) << shift, (high + 1) << shift
+    for i, a in enumerate(_sums([[value << shift for value in term] for term in left])):
+        first = bisect_left(ordered, above - a)
+        last = bisect_left(ordered, top - a)
         if first == last:
             continue
-        if indices is None:
-            indices = [list(product(*map(range, map(len, side)))) for side in (left, right)]
-        for j in sorted(order[first:last]):
-            yield a + sums[j], indices[0][i] + indices[1][j]
+        a >>= shift
+        chosen = ordered[first:last]
+        if skip:
+            if distinct is None and scanned >= len(ordered):
+                distinct = list(dict.fromkeys(map(shift.__rrshift__, ordered)))
+            if distinct is None:
+                scanned += last - first
+                sums = map(shift.__rrshift__, chosen)
+            else:
+                sums = distinct[bisect_right(distinct, low - a) : bisect_right(distinct, high - a)]
+            if not set(map(a.__add__, sums)) - skip:
+                continue
+        for choice in sorted(chosen, key=mask.__and__):
+            total = a + (choice >> shift)
+            if total not in skip:
+                yield total, (i, choice & mask)
+
+
+def _unrank(rank: int, sizes: list[int]) -> tuple[int, ...]:
+    """The option indices of the rank-th choice in the order of
+    itertools.product over terms of these sizes: mixed radix, last fastest."""
+    digits = []
+    for size in reversed(sizes):
+        rank, digit = divmod(rank, size)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 def _reachable_powers(primes: tuple[int, ...], budget: int, near: int, far: int, top: int):
@@ -614,28 +680,54 @@ def _reachable_powers(primes: tuple[int, ...], budget: int, near: int, far: int,
     exponents, the last prime's fastest, which is the order of the exponent
     tuples (e_1, ..., e_s) themselves.
 
-    The prefix products over all but the last prime are built one prime at
-    a time, each dropped once it passes top; the last prime's exponents
-    come as two ranges, bisected from its power list."""
-    if not primes:  # the grid is the one empty product
-        return [()], [1]
+    The products are built one prime at a time, and both ranges apply at
+    every level: a prefix product v survives only if v <= top and v <= near
+    or v * reach >= far, where reach is the largest product the later
+    primes can add (1 at the last prime). A prefix past near whose every
+    extension stays below far can reach neither range, so it is dropped
+    before it is extended. Each level's exponents come as two ranges,
+    bisected from the prime's power list."""
+    reach = prod(p ** budget for p in primes)
     prefixes = [((), 1)]
-    for p in primes[:-1]:
+    for p in primes:
         powers = [p ** e for e in range(budget + 1)]
+        reach //= powers[-1]
+        least = -(-far // reach)  # the least prefix that can still reach far
+        if least <= near + 1:  # the two ranges meet: only top prunes
+            prefixes = [
+                ((*es, e), v * pe)
+                for es, v in prefixes
+                for e, pe in enumerate(powers[: bisect_right(powers, top // v)])
+            ]
+            continue
+        # least > near + 1, so the two ranges of exponents do not overlap
         prefixes = [
-            ((*es, e), v * pe)
+            ((*es, e), v * powers[e])
             for es, v in prefixes
-            for e, pe in enumerate(powers[: bisect_right(powers, top // v)])
+            for e in chain(
+                range(bisect_right(powers, near // v)),
+                range(bisect_left(powers, -(-least // v)), bisect_right(powers, top // v)),
+            )
         ]
-    powers = [primes[-1] ** e for e in range(budget + 1)]
-    exponents, values = [], []
-    for es, v in prefixes:
-        below = bisect_right(powers, near // v)
-        above = max(below, bisect_left(powers, -(-far // v)))
-        for e in chain(range(below), range(above, bisect_right(powers, top // v))):
-            exponents.append((*es, e))
-            values.append(v * powers[e])
-    return exponents, values
+    exponents, values = zip(*prefixes)  # never empty: 1 <= near keeps the empty product
+    return list(exponents), list(values)
+
+
+def _prefix_length(dense: tuple[int, ...]) -> int:
+    """t of _extended_window for the dense exponents (e_1, ..., e_s): the
+    number of nonzero exponents when they do not increase (so the nonzero
+    ones are a descending prefix), else 0."""
+    return sum(map(bool, dense)) if all(map(ge, dense, dense[1:])) else 0
+
+
+def _window_tops(basis: PrimeBasis, slots: int, budget: int) -> list[list[int]]:
+    """tops[t][k - 1]: the high end of _extended_window for k in [1, budget]
+    and exponents of _prefix_length t (0 <= t <= slots). The walk is past
+    next_prime while k avoids the first prime above the root, and so on,
+    up to the t-th."""
+    larges = large_primes(basis, slots + 1)
+    stops = [next((i for i, p in enumerate(larges[:slots]) if k % p == 0), slots) for k in range(1, budget + 1)]
+    return [[larges[min(t, stop)] ** 2 - 1 for stop in stops] for t in range(slots + 1)]
 
 
 def _points(
@@ -649,12 +741,9 @@ def _points(
     """(value, params) for each grid point in the window whose value is not
     in `skip` when it is reached, in grid order.
 
-    The setup gives each term's option keys (multipliers, or relation1's
-    exponent tuples) and unsigned values, the walk's window, a sort key on
-    the option indices for grid order (relation3's walk order is its grid
-    order) and how a hit's options, one (parity, key) per term, become
-    params, or None. A hit is read back through one (parity, key) table per
-    term, the layout of _signed, only once its value is not skipped.
+    The setup gives the hits, (sum, where) from _walk or _meet, and how a
+    hit's value and where become params, or None. A hit is read back only
+    once its value is not skipped.
 
     relation1's terms are +-k * lead, first since there are only 2 * budget
     of them, and +-g for the products g of large-prime powers that can reach
@@ -664,10 +753,18 @@ def _points(
     or k * lead + low < g <= k * lead + high (-, +); (-, -) is negative.
     So a g outside [1, high] and [lead - high, budget * lead + high] never
     pairs, and _reachable_powers leaves it out of the grid. Its grid key is
-    (exponents, b1, b2, k), and a hit is held to its own window, which
-    depends on its exponents and k. relation2's grid key is its three
-    signs, then its three multipliers.
+    (exponents, b1, b2, k), so its hits are sorted by it after the walk,
+    and each is held to its own window, read from _window_tops by the
+    exponents' _prefix_length and k.
+
+    relation2's grid key is its three signs, then its three multipliers,
+    so it walks one sign block (b1, b2, b3) after another: +-P1 * k1 on
+    the left and, on the right, one of the four sign patterns of
+    (+-P2 * k2, +-P * k3), each ranked once. Each block's hits come out in
+    grid order, skipped inside the walk, as relation3's do from its one
+    walk over the signed terms.
     """
+    parities = (Parity.EVEN, Parity.ODD)
     if construction in (RELATION1, RELATION1_FACTORIAL):
         if construction == RELATION1_FACTORIAL:
             lead, make = factorial(isqrt(basis.bound)), Relation1FactorialParams
@@ -675,50 +772,60 @@ def _points(
             lead, make = _products(basis.small_primes)[0], Relation1Params
         larges = large_primes(basis, exponent_slots + 1)
         high = larges[-1] ** 2 - 1
-        window = basis.largest, high
         exponents, powers = _reachable_powers(
             larges[:exponent_slots], budget, high, lead - high, budget * lead + high
         )
-        keys = [range(1, budget + 1), exponents]
-        values = [[k * lead for k in keys[0]], powers]
+        multiples = _signed([k * lead for k in range(1, budget + 1)])
         n = len(powers)
+        # option j of the powers term is +-powers[j % n], and the exponents
+        # are in grid order, so j % n orders them
+        hits = sorted(
+            _meet([multiples], _ranked([_signed(powers)]), basis.largest, high, ()),
+            key=lambda hit: (hit[1][1] % n, hit[1][0] // budget, hit[1][1] // n, hit[1][0] % budget),
+        )
+        tops = _window_tops(basis, exponent_slots, budget) if hits else None
 
-        def order(hit):
-            # option j of the powers term is +-powers[j % n], and the
-            # exponents are in grid order, so j % n orders them
-            i, j = hit[1]
-            return j % n, i // budget, j // n, i % budget
-
-        def to_params(value, options):
-            (b1, k), (b2, dense) = options
-            sparse = tuple((slot, e) for slot, e in enumerate(dense, 1) if e)
-            if value <= _extended_window(basis, sparse, k)[1]:
-                return make(basis, b1, b2, k, sparse)
+        def read(value, where):
+            i, j = where
+            k, dense = i % budget + 1, exponents[j % n]
+            if value <= tops[_prefix_length(dense)][k - 1]:
+                sparse = tuple((slot, e) for slot, e in enumerate(dense, 1) if e)
+                return make(basis, parities[i // budget], parities[j // n], k, sparse)
 
     else:
         groups = _split(construction, basis, partition)
         keys = _split_choices(groups, budget)
         values = [[c * k for k in ks] for c, ks in zip(_split_coefficients(groups), keys)]
-        window = certificate_window(basis)
+        low, high = certificate_window(basis)
         if construction == RELATION2:
-            # option i of a term is odd-signed when i >= len(ks); with the
-            # signs fixed, the order of the indices is the order of the ks
-            sizes = list(map(len, keys))
-            order = lambda hit: (tuple(map(ge, hit[1], sizes)), hit[1])
+            # each term's options by sign bit, + then -
+            signed = [(term, [-v for v in term]) for term in values]
+            rights = {bits: _ranked([signed[1][bits[0]], signed[2][bits[1]]]) for bits in product((0, 1), repeat=2)}
+            k1s, k2s, k3s = keys
 
-            def to_params(value, options):
-                signs, ks = zip(*options)
-                return Relation2Params(basis, groups[1], groups[0], *signs, *ks)
+            def walk():
+                # the sign blocks in grid order, each hit with its block's signs
+                for bits in product((0, 1), repeat=3):
+                    for value, where in _meet([signed[0][bits[0]]], rights[bits[1:]], low, high, skip):
+                        yield value, (bits, where)
 
+            def read(value, where):
+                bits, (i, j) = where
+                k2, k3 = divmod(j, len(k3s))
+                signs = map(parities.__getitem__, bits)
+                return Relation2Params(basis, groups[1], groups[0], *signs, k1s[i], k2s[k2], k3s[k3])
+
+            hits = walk()
         else:
-            order = None
-            to_params = lambda value, options: Relation3Params(basis, *zip(*options))
-    hits = _walk([_signed(term) for term in values], *window)
-    if order is not None:
-        hits = sorted(hits, key=order)
-    tables = [list(product((Parity.EVEN, Parity.ODD), term)) for term in keys]
-    for value, indices in hits:
+            # one (parity, k) table per term, in the layout of _signed
+            tables = [list(product(parities, ks)) for ks in keys]
+
+            def read(value, indices):
+                return Relation3Params(basis, *zip(*map(list.__getitem__, tables, indices)))
+
+            hits = _walk([_signed(term) for term in values], low, high, skip)
+    for value, where in hits:
         if value not in skip:
-            point = to_params(value, map(list.__getitem__, tables, indices))
+            point = read(value, where)
             if point is not None:
                 yield value, point

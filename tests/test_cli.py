@@ -500,6 +500,22 @@ class TestRefusedArguments:
     def test_exit_1_with_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
+    # a comma list that starts with "-" is its flag's value, as with "=",
+    # so each flag gives its own refusal, not argparse's "expected one argument"
+    @pytest.mark.parametrize("argv, flag, value, message", [
+        (["rel3", "--bound", "119", "--k", "1,1,1,1"], "--b", "-1,1,1,1", "parity exponent must be >= 0, got -1"),
+        (["rel3", "--bound", "119", "--b", "1,1,1,1"], "--k", "-1,1,1,1", "per-prime multipliers must be >= 1"),
+        (["rel2", "--bound", "119", "--s2", "3,5", "--b1", "2", "--b2", "2", "--k1", "1", "--k2", "1"],
+         "--s1", "-2,7", "groups must cover exactly the basis primes"),
+        (["rel2", "--bound", "119", "--s1", "2,7", "--b1", "2", "--b2", "2", "--k1", "1", "--k2", "1"],
+         "--s2", "-3,5", "groups must cover exactly the basis primes"),
+        (["rel1", "--bound", "119", "--b1", "2", "--b2", "1", "--k", "1"], "--m", "-1,1", "exponents must be >= 0, got -1"),
+    ])
+    def test_a_comma_list_that_starts_with_a_minus_is_a_value(self, capsys, argv, flag, value, message):
+        want = (1, "", f"error: {message}\n")
+        assert run_cli(capsys, *argv, flag, value) == want
+        assert run_cli(capsys, *argv, f"{flag}={value}") == want
+
 
 class TestZscan:
     def test_mersenne_exponents(self, capsys):

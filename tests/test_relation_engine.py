@@ -12,13 +12,16 @@ with 2 exponent slots, where the power grid has 2 * 33**2 signed options
 against 64 signed multiples. relation1 walks only the power products that
 can reach the window; that pruned grid is held to the full one filtered by
 the same rule (exponents, value and order), and its walk to the full grid's
-walk at the benchmark's 3-slot, budget-15 shape. The walk itself is held
-to a brute force over random terms and windows, and the worked examples'
-errata search to the nested loops.
+walk at the benchmark's 3-slot, budget-15 shape. The table of window tops
+that relation1's walk holds its hits to is held to the evaluator's own
+extended window. The walk itself is held to a brute force over random
+terms and windows, with and without a consumer that certifies values as
+the walk runs, and the worked examples' errata search to the nested loops.
 
 In dedup mode each value is evaluated only until one of its grid points
-is accepted; the last tests count those evaluations and hold the skip to
-the multiset, the slow path that judges every hit.
+is accepted; the last tests count those evaluations (and relation1's
+window computations) and hold the skip to the multiset, the slow path
+that judges every hit.
 """
 
 import dataclasses
@@ -46,9 +49,12 @@ from primekit.relations import (
     RELATION1_FACTORIAL,
     RELATION2,
     RELATION3,
+    _extended_window,
+    _prefix_length,
     _reachable_powers,
     _points,
     _walk,
+    _window_tops,
     enumerate_certified,
     enumeration_grid_size,
 )
@@ -166,15 +172,19 @@ def test_reachable_powers_keep_their_inclusive_edges(primes, budget, high, lead)
 @pytest.mark.parametrize("construction", [RELATION1, RELATION1_FACTORIAL])
 def test_reachable_powers_equal_the_filtered_full_grid(construction):
     # the walk's own arguments, for every basis to bound 528 and two past
-    # the last accepting bound, 0..3 slots and budgets 1..6
+    # the last accepting bound, 0..4 slots and budgets 1..6, and budget 15
+    # (the benchmark's 3-slot budget) at those two, where the full grid
+    # stays under the reference cap
     overlapping = far_kept = 0
     for bound in BOUNDS + (960, 9408):
         basis = primes_leq_sqrt(bound)
         lead = factorial(isqrt(bound)) if construction == RELATION1_FACTORIAL else prod(basis.small_primes)
-        for slots in range(4):
+        for slots in range(5):
             larges = large_primes(basis, slots + 1)
             high = larges[-1] ** 2 - 1
-            for budget in range(1, 7):
+            for budget in [*range(1, 7), *[15] * (bound > 528)]:
+                if (budget + 1) ** slots > REFERENCE_GRID_CAP:
+                    continue
                 near, far, top = high, lead - high, budget * lead + high
                 got = list(zip(*_reachable_powers(larges[:slots], budget, near, far, top)))
                 assert got == _filtered(larges[:slots], budget, near, far, top), (
@@ -183,6 +193,22 @@ def test_reachable_powers_equal_the_filtered_full_grid(construction):
                 overlapping += far <= near
                 far_kept += any(g > near for _, g in got)
     assert overlapping and far_kept
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_window_tops_equal_the_extended_window(bound):
+    # the table relation1's walk reads a hit's window from, against the
+    # evaluator's own window, for every power option of every slot count to
+    # 3 and every k to 15; a smaller budget's table is the first columns
+    basis = primes_leq_sqrt(bound)
+    for slots in range(4):
+        tops = _window_tops(basis, slots, 15)
+        for dense in product(range(16), repeat=slots):
+            sparse = tuple((slot, e) for slot, e in enumerate(dense, 1) if e)
+            row = tops[_prefix_length(dense)]
+            assert row == [_extended_window(basis, sparse, k)[1] for k in range(1, 16)], (slots, dense)
+        for budget in range(16):
+            assert _window_tops(basis, slots, budget) == [row[:budget] for row in tops]
 
 
 # the benchmark's 3-slot shape; relation1 also has hits at 120, neither
@@ -243,6 +269,44 @@ def test_worked_examples_match_the_nested_loops(fmt, capsys, monkeypatch):
         ]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(st.lists(st.integers(-30, 30), min_size=1, max_size=6), min_size=1, max_size=4),
+    low=st.integers(-60, 60),
+    width=st.integers(-5, 60),
+    certified=st.sets(st.integers(-60, 120), max_size=8),
+    verdicts=st.lists(st.booleans(), min_size=1, max_size=8),
+)
+def test_skipping_walk_matches_brute_force(terms, low, width, certified, verdicts):
+    # the consumer judges the points it is given in turn by the verdicts
+    # (cycled) and certifies each accepted value, as the enumerator does,
+    # while the walk is running; a value already certified when its point
+    # is reached is left out, and a rejected point leaves its value to the
+    # next point with that value
+    high = low + width
+
+    def consume(points, skip):
+        seen = []
+        for total, indices in points:
+            seen.append((total, indices))
+            if verdicts[(len(seen) - 1) % len(verdicts)]:
+                skip.add(total)
+        return seen
+
+    brute = [
+        (sum(term[i] for term, i in zip(terms, indices)), indices)
+        for indices in product(*(range(len(term)) for term in terms))
+    ]
+    want_skip = set(certified)
+    want = consume(
+        ((total, indices) for total, indices in brute if low < total <= high and total not in want_skip),
+        want_skip,
+    )
+    skip = set(certified)
+    assert consume(_walk(terms, low, high, skip), skip) == want
+    assert skip == want_skip
+
+
 # 12,230 window hits of 12 distinct values, each reached at least 1,018 times
 DUPLICATES = ["rel3", "--bound", "48", "--enumerate", "--budget", "15"]
 
@@ -266,6 +330,16 @@ def test_dedup_evaluates_each_value_once(multiset, evaluations, capsys, monkeypa
     assert run(DUPLICATES + ["--multiset"] * multiset) == 0
     assert len(capsys.readouterr().out.splitlines()) == evaluations
     assert len(oracle_calls) == len(eval_calls) == evaluations
+
+
+def test_relation1_window_is_computed_once_per_evaluated_hit(capsys, monkeypatch):
+    # the walk holds its hits to their windows through _window_tops, so
+    # only the evaluator, as its own check, computes a window
+    windows = _counted(monkeypatch, "_extended_window")
+    evaluations = _counted(monkeypatch, "eval_relation1")
+    assert run(["rel1", "--bound", "8", "--enumerate", "--budget", "15", "--slots", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 23
+    assert len(windows) == len(evaluations) == 23
 
 
 # (construction, bound, budget, evaluator, values with a second hit): all
