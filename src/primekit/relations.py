@@ -23,36 +23,35 @@ splits the basis into (group2, group1), relation3 into one group per prime
 (_split); one evaluator (_eval_split) and one choice of multipliers
 (_split_choices) serve both.
 
-Enumeration walks one engine for every shape. Each shape is a list of
-terms, each term a list of signed ints: its values with the + sign, then
-with the - sign, each half in the order of its grid keys (multipliers or
-exponents). A grid point is one option per term. Only points whose sum
-lies in the window can be accepted, so the walk finds just those,
-meet-in-the-middle (Horowitz and Sahni, 1974): it ranks the right half's
-choices once (each its sum and its rank in one int, so one plain sort
-orders them) and loops over the left half's sums, bisecting the ranked
-half once per left sum. relation1 puts its 2 * budget signed multiples
-k * lead on the left and its power products g on the right, but only the
-g that can reach the window (low, high]: a g outside [1, high] and
+Enumeration finds just the grid points whose sum lies in the window,
+since only those can be accepted. A grid point is one option per term;
+a term's options are its values with the + sign, then with the - sign,
+each half in the order of its grid keys (multipliers or exponents).
+relation1's left term is an arithmetic progression, +-k * lead for k in
+[1, budget], so for each power product g the k that land in the window
+(low, high] are read off by floor division. A g outside [1, high] and
 [lead - high, budget * lead + high] pairs with no sign and no multiplier,
-and a prefix product that can reach neither range is dropped at the
-prime it passes, so neither is ever built; each g carries its exponents.
-The points in the window are evaluated in grid-key order, the order of
-the nested loops over signs, multipliers and exponents that define the
-grid, so the same grid always yields the same certificates in the same
-order. Deduplicated enumeration skips a point whose sum is already
-certified, inside the walk: a left sum's slice of totals already
-certified is dropped by one set difference, before any point of it is
-read back. relation3's one walk and relation2's eight sign blocks, each
-walked in turn, yield their points in grid order; relation1 sorts its
-points by grid key after its walk, and holds each to its own window
-through a table of window tops (_window_tops). One read-back (_points)
-turns every walk's points into params.
+and a prefix product that can reach neither range is dropped at the prime
+it passes, so neither is ever built. A g more than high from every
+multiple of lead pairs with none either; one residue test passes it over
+before its divisions. Relations 2 and 3 meet in the middle (Horowitz and
+Sahni, 1974): the right half's choices are ranked once (each its sum and
+its rank in one int, so one plain sort orders them) and the loop runs
+over the left half's sums, bisecting the ranked half once per left sum.
+Every walk yields its points in grid-key order, the order of the nested
+loops over signs, multipliers and exponents that define the grid, so the
+same grid always yields the same certificates in the same order, and a
+point's params are built only as it is yielded (_points). Deduplicated
+enumeration skips a point whose sum is already certified, inside the
+walk; relations 2 and 3 drop a left sum's slice of totals already
+certified by one set difference. relation1 holds each point to its own
+window through a table of window tops (_window_tops).
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -342,6 +341,15 @@ def certificate_window(basis: PrimeBasis) -> tuple[int, int]:
 
 
 def _judge(value: int, construction: str, params, window, reason=None) -> CandidateCertificate:
+    # refuse, before the oracle runs, a value past Python's limit on int-to-str
+    # conversion (0 for none, as before Python 3.10.7, which lacks the call
+    # too), which could not be written; below 2^(3 * limit) none is past it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and abs(value).bit_length() > 3 * limit and abs(value) >= 10 ** limit:
+        raise ResourceLimitError(
+            f"{construction} value of {abs(value).bit_length()} bits would pass Python's "
+            f"{limit}-digit limit on int-to-str conversion (sys.get_int_max_str_digits())"
+        )
     low, high = window
     if reason is None:
         if value <= 0:
@@ -527,8 +535,8 @@ def enumerate_certified(
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     verbose: bool = False,
 ) -> list[CandidateCertificate]:
-    """Walk the full bounded parameter grid, evaluate each point whose value
-    lies in the window and keep what is accepted.
+    """Evaluate each point of the bounded parameter grid whose value lies in
+    the window, as the walk finds it, and keep what is accepted.
 
     Signs range over both parities, multipliers over [1, budget] (the
     optional trailing multiplier over [0, budget]), exponents over
@@ -739,30 +747,30 @@ def _points(
     skip=(),
 ):
     """(value, params) for each grid point in the window whose value is not
-    in `skip` when it is reached, in grid order.
+    in `skip` when it is reached, in grid order. Each walk checks `skip`
+    just before it yields, so a value the caller certifies after one point
+    is skipped from the next on.
 
-    The setup gives the hits, (sum, where) from _walk or _meet, and how a
-    hit's value and where become params, or None. A hit is read back only
-    once its value is not skipped.
-
-    relation1's terms are +-k * lead, first since there are only 2 * budget
-    of them, and +-g for the products g of large-prime powers that can reach
-    the walk's window (low, high], the widest extended window. A sum
-    s1 * k * lead + s2 * g with 1 <= k <= budget lands there only if
-    g <= high - lead (+, +), k * lead - high <= g < k * lead - low (+, -)
-    or k * lead + low < g <= k * lead + high (-, +); (-, -) is negative.
-    So a g outside [1, high] and [lead - high, budget * lead + high] never
-    pairs, and _reachable_powers leaves it out of the grid. Its grid key is
-    (exponents, b1, b2, k), so its hits are sorted by it after the walk,
-    and each is held to its own window, read from _window_tops by the
-    exponents' _prefix_length and k.
+    relation1's grid key is (exponents, b1, b2, k). Its walk takes the
+    reachable power products g (_reachable_powers) in exponent order, and
+    for each the sign pairs (+, +), (+, -) and (-, +) ((-, -) is
+    negative). The k whose sum s1 * k * lead + s2 * g lies in the widest
+    extended window (low, high] form one interval:
+    (low - g) // lead < k <= (high - g) // lead (+, +),
+    (low + g) // lead < k <= (high + g) // lead (+, -) and
+    ceil((g - high) / lead) <= k <= (g - low - 1) // lead (-, +),
+    clipped to [1, budget]. A g that pairs is at most high, or within high
+    of a multiple of lead, so a g whose residue mod lead lies in
+    (high, lead - high) is passed over before its six big-int divisions.
+    Each hit is held to its own window, read from _window_tops by the
+    exponents' _prefix_length and k; the table is built at the first hit
+    that is not skipped.
 
     relation2's grid key is its three signs, then its three multipliers,
     so it walks one sign block (b1, b2, b3) after another: +-P1 * k1 on
     the left and, on the right, one of the four sign patterns of
-    (+-P2 * k2, +-P * k3), each ranked once. Each block's hits come out in
-    grid order, skipped inside the walk, as relation3's do from its one
-    walk over the signed terms.
+    (+-P2 * k2, +-P * k3), each ranked once (_meet). Its hits come out in
+    grid order, as relation3's do from its one walk (_walk).
     """
     parities = (Parity.EVEN, Parity.ODD)
     if construction in (RELATION1, RELATION1_FACTORIAL):
@@ -771,61 +779,47 @@ def _points(
         else:
             lead, make = _products(basis.small_primes)[0], Relation1Params
         larges = large_primes(basis, exponent_slots + 1)
-        high = larges[-1] ** 2 - 1
+        low, high = basis.largest, larges[-1] ** 2 - 1
         exponents, powers = _reachable_powers(
             larges[:exponent_slots], budget, high, lead - high, budget * lead + high
         )
-        multiples = _signed([k * lead for k in range(1, budget + 1)])
-        n = len(powers)
-        # option j of the powers term is +-powers[j % n], and the exponents
-        # are in grid order, so j % n orders them
-        hits = sorted(
-            _meet([multiples], _ranked([_signed(powers)]), basis.largest, high, ()),
-            key=lambda hit: (hit[1][1] % n, hit[1][0] // budget, hit[1][1] // n, hit[1][0] % budget),
-        )
-        tops = _window_tops(basis, exponent_slots, budget) if hits else None
-
-        def read(value, where):
-            i, j = where
-            k, dense = i % budget + 1, exponents[j % n]
-            if value <= tops[_prefix_length(dense)][k - 1]:
-                sparse = tuple((slot, e) for slot, e in enumerate(dense, 1) if e)
-                return make(basis, parities[i // budget], parities[j // n], k, sparse)
-
-    else:
-        groups = _split(construction, basis, partition)
-        keys = _split_choices(groups, budget)
-        values = [[c * k for k in ks] for c, ks in zip(_split_coefficients(groups), keys)]
-        low, high = certificate_window(basis)
-        if construction == RELATION2:
-            # each term's options by sign bit, + then -
-            signed = [(term, [-v for v in term]) for term in values]
-            rights = {bits: _ranked([signed[1][bits[0]], signed[2][bits[1]]]) for bits in product((0, 1), repeat=2)}
-            k1s, k2s, k3s = keys
-
-            def walk():
-                # the sign blocks in grid order, each hit with its block's signs
-                for bits in product((0, 1), repeat=3):
-                    for value, where in _meet([signed[0][bits[0]]], rights[bits[1:]], low, high, skip):
-                        yield value, (bits, where)
-
-            def read(value, where):
-                bits, (i, j) = where
+        even, odd = parities
+        tops = None
+        for dense, g in zip(exponents, powers):
+            if high < g % lead < lead - high:
+                continue
+            for sign_small, sign_large, first, last in (
+                (even, even, (low - g) // lead + 1, (high - g) // lead),
+                (even, odd, (low + g) // lead + 1, (high + g) // lead),
+                (odd, even, -((high - g) // lead), (g - low - 1) // lead),
+            ):
+                for k in range(max(first, 1), min(last, budget) + 1):
+                    value = sign_small.sign * k * lead + sign_large.sign * g
+                    if value in skip:
+                        continue
+                    if tops is None:
+                        tops = _window_tops(basis, exponent_slots, budget)
+                    if value <= tops[_prefix_length(dense)][k - 1]:
+                        sparse = tuple((slot, e) for slot, e in enumerate(dense, 1) if e)
+                        yield value, make(basis, sign_small, sign_large, k, sparse)
+        return
+    groups = _split(construction, basis, partition)
+    keys = _split_choices(groups, budget)
+    values = [[c * k for k in ks] for c, ks in zip(_split_coefficients(groups), keys)]
+    low, high = certificate_window(basis)
+    if construction == RELATION2:
+        # each term's options by sign bit, + then -
+        signed = [(term, [-v for v in term]) for term in values]
+        rights = {bits: _ranked([signed[1][bits[0]], signed[2][bits[1]]]) for bits in product((0, 1), repeat=2)}
+        k1s, k2s, k3s = keys
+        # the sign blocks in grid order
+        for bits in product((0, 1), repeat=3):
+            signs = [parities[bit] for bit in bits]
+            for value, (i, j) in _meet([signed[0][bits[0]]], rights[bits[1:]], low, high, skip):
                 k2, k3 = divmod(j, len(k3s))
-                signs = map(parities.__getitem__, bits)
-                return Relation2Params(basis, groups[1], groups[0], *signs, k1s[i], k2s[k2], k3s[k3])
-
-            hits = walk()
-        else:
-            # one (parity, k) table per term, in the layout of _signed
-            tables = [list(product(parities, ks)) for ks in keys]
-
-            def read(value, indices):
-                return Relation3Params(basis, *zip(*map(list.__getitem__, tables, indices)))
-
-            hits = _walk([_signed(term) for term in values], low, high, skip)
-    for value, where in hits:
-        if value not in skip:
-            point = read(value, where)
-            if point is not None:
-                yield value, point
+                yield value, Relation2Params(basis, groups[1], groups[0], *signs, k1s[i], k2s[k2], k3s[k3])
+        return
+    # one (parity, k) table per term, in the layout of _signed
+    tables = [list(product(parities, ks)) for ks in keys]
+    for value, indices in _walk([_signed(term) for term in values], low, high, skip):
+        yield value, Relation3Params(basis, *zip(*map(list.__getitem__, tables, indices)))

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from helpers import slow_primes_below
-from primekit import bigsearch, cli, exclusion
+from primekit import bigsearch, cli, exclusion, relations
 from primekit.cli import run
 from primekit.mersenne import scan_prime_zn
 from primekit.oracle import OracleVerdict, is_prime, primes_leq_sqrt, sieve_primes_below
@@ -482,6 +482,27 @@ class TestRelationCommands:
         assert (code, out) == (2, "")
         assert "245760 candidates" in err
         assert run_cli(capsys, *argv, "--candidate-cap", "245760") == (0, "", "")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+        reason="no limit on int-to-str conversion",
+    )
+    @pytest.mark.parametrize("command", ["rel1", "rel2"])
+    def test_value_past_the_int_to_str_limit_exit_two(self, capsys, monkeypatch, command):
+        # 11^limit, and 14 times a k of limit sevens, have more digits than
+        # Python converts to str: refused before the oracle runs
+        limit = sys.get_int_max_str_digits()
+        argv = {
+            "rel1": ["rel1", "--bound", "119", "--b1", "2", "--b2", "2", "--k", "1", "--m", str(limit)],
+            "rel2": ["rel2", "--bound", "119", "--s1", "2,7", "--s2", "3,5", "--b1", "2", "--b2", "2",
+                     "--k1", "7" * limit, "--k2", "1"],
+        }[command]
+        calls = []
+        monkeypatch.setattr(relations, "is_prime", calls.append)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, calls) == (2, "", [])
+        assert len(err.splitlines()) == 1
+        assert err.startswith("resource error: ") and f"Python's {limit}-digit limit" in err
 
 
 class TestRefusedArguments:

@@ -1,4 +1,4 @@
-"""The meet-in-the-middle engine against the nested-loop walks it replaced.
+"""The relation walks against the nested-loop walks they replaced.
 
 Every basis with bound <= 528 (the bases {2} up to {2, ..., 19}), every
 budget 0..6, both relation1 forms with 0..3 exponent slots (0 slots is a
@@ -11,12 +11,15 @@ The relation1 forms are also compared at the benchmark's shape: budget 32
 with 2 exponent slots, where the power grid has 2 * 33**2 signed options
 against 64 signed multiples. relation1 walks only the power products that
 can reach the window; that pruned grid is held to the full one filtered by
-the same rule (exponents, value and order), and its walk to the full grid's
-walk at the benchmark's 3-slot, budget-15 shape. The table of window tops
-that relation1's walk holds its hits to is held to the evaluator's own
-extended window. The walk itself is held to a brute force over random
-terms and windows, with and without a consumer that certifies values as
-the walk runs, and the worked examples' errata search to the nested loops.
+the same rule (exponents, value and order), and its division walk to the
+full grid's walk at every basis to 528 and two beyond, 0..3 slots and
+budgets 1..15 (the benchmark's 3-slot shape is budget 15), with and
+without values to skip. The table of window tops that relation1's walk
+holds its hits to is held to the evaluator's own extended window. The
+meet-in-the-middle walk of relations 2 and 3 is held to a brute force over
+random terms and windows, with and without a consumer that certifies
+values as the walk runs, and the worked examples' errata search to the
+nested loops.
 
 In dedup mode each value is evaluated only until one of its grid points
 is accepted; the last tests count those evaluations (and relation1's
@@ -211,14 +214,24 @@ def test_window_tops_equal_the_extended_window(bound):
             assert _window_tops(basis, slots, budget) == [row[:budget] for row in tops]
 
 
-# the benchmark's 3-slot shape; relation1 also has hits at 120, neither
-# form at 960 or 9408
-@pytest.mark.parametrize("bound", [24, 120, 960, 9408])
+# every basis to bound 528 and two past the last accepting bound, where
+# neither form accepts, at 0..3 slots and budgets 1..15 (the benchmark's
+# 3-slot shape is budget 15)
+@pytest.mark.parametrize("bound", BOUNDS + (960, 9408))
 @pytest.mark.parametrize("construction", [RELATION1, RELATION1_FACTORIAL])
 def test_pruned_relation1_walk_matches_the_full_grid(construction, bound):
     basis = primes_leq_sqrt(bound)
-    want = _relation1_points_full_grid(construction, basis, 15, 3)
-    assert list(_points(construction, basis, 15, 3)) == want
+    hits = skipped = 0
+    for slots, budget in product(range(4), range(1, 16)):
+        want = _relation1_points_full_grid(construction, basis, budget, slots)
+        assert list(_points(construction, basis, budget, slots)) == want, (slots, budget)
+        # a skip set that holds every other value of the reference: the walk
+        # yields the rest, in the same order
+        skip = set(sorted({value for value, _ in want})[::2])
+        got = list(_points(construction, basis, budget, slots, skip=skip))
+        assert got == [(value, p) for value, p in want if value not in skip], (slots, budget)
+        hits, skipped = hits + len(want), skipped + len(want) - len(got)
+    assert bool(skipped) == bool(hits)
     if bound == 24:
         # hits with each sign pair that can land in the window: all but (-, -)
         assert len({(p.sign_small, p.sign_large) for _, p in want}) == 3
