@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, in_decimal, proven_hits
-from .errors import InvariantViolation, ResourceLimitError, ValidationError
+from .errors import InvariantViolation, ResourceLimitError, ValidationError, read_int
 from .exclusion import ExclusionSpec, excluded_k, prime_blocks
 from .mersenne import scan_prime_zn
 from .oracle import PROBABLE_PRIME, PROVEN_PRIME, OracleVerdict, is_prime, primes_leq_sqrt
@@ -78,6 +78,12 @@ _NEGATIVE_INT_LIST = re.compile(r"-\d+(,-?\d+)+")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # every type=int flag reads through read_int; argparse lets its
+        # ResourceLimitError through and still names the type "int"
+        self.register("type", int, read_int)
+
     def error(self, message):  # argparse would sys.exit(2); keep 1 for validation
         raise ValidationError(message)
 
@@ -99,7 +105,7 @@ def _resolve_int(flag_value, env_name: str, default: int) -> int:
     raw = _env(env_name)
     if raw is not None:
         try:
-            return int(raw)
+            return read_int(raw)
         except ValueError:
             raise ValidationError(f"{ENV_PREFIX}{env_name} must be an integer, got {raw!r}") from None
     return default
@@ -174,8 +180,8 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return int(lo), int(hi)
-        value = int(text)
+            return read_int(lo), read_int(hi)
+        value = read_int(text)
         return value, value
     except ValueError:
         raise ValidationError(f"cannot parse {name} range {text!r}; use LO..HI") from None

@@ -1,8 +1,16 @@
-"""Exception hierarchy shared by all primekit modules.
+"""Exception hierarchy shared by all primekit modules, and the one reader
+of integer arguments.
 
 The CLI maps these onto exit codes: ValidationError -> 1,
 ResourceLimitError -> 2, InvariantViolation -> 3.
 """
+
+import re
+import sys
+
+# what int() reads in base 10: a sign, digits with single underscores
+# between them, and surrounding whitespace
+_INT_TOKEN = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 class PrimekitError(Exception):
@@ -23,3 +31,20 @@ class InvariantViolation(PrimekitError, AssertionError):
     This never fires unless the implementation (or the underlying theorem)
     is wrong, so it is kept maximally loud and is never caught internally.
     """
+
+
+def read_int(text: str) -> int:
+    """int(text), except that an integer of more digits than Python reads
+    from a str raises ResourceLimitError, which names the digit count and
+    the limit but not the digits. Anything else reads, or fails, as with
+    int(); with no limit (0, as before Python 3.10.7, which lacks the call
+    too) this is int()."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and len(text) > limit and _INT_TOKEN.fullmatch(text):
+        digits = sum(map(str.isdecimal, text))
+        if digits > limit:
+            raise ResourceLimitError(
+                f"integer argument of {digits} digits passes Python's {limit}-digit limit "
+                "on str-to-int conversion (sys.get_int_max_str_digits())"
+            )
+    return int(text)

@@ -54,12 +54,11 @@ import enum
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, compress, product
 from math import factorial, isqrt, prod
 from operator import attrgetter, ge
 
-from .errors import InvariantViolation, ResourceLimitError, ValidationError
+from .errors import InvariantViolation, ResourceLimitError, ValidationError, read_int
 from .oracle import PROVEN_COMPOSITE, OracleVerdict, PrimeBasis, is_prime, large_primes
 
 RELATION1 = "relation1"
@@ -93,7 +92,7 @@ class Parity(enum.Enum):
         if t in ("even", "odd"):
             return cls(t)
         try:
-            b = int(t)
+            b = read_int(t)
         except ValueError:
             raise ValidationError(f"cannot read parity from {text!r}") from None
         return cls.from_int(b)
@@ -112,7 +111,7 @@ def _parse_int_list(text: str, key: str) -> list[int]:
     if not text:
         return []
     try:
-        return [int(tok) for tok in text.split(",")]
+        return [read_int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValidationError(f"cannot parse {key} list {text!r}") from None
 
@@ -216,12 +215,8 @@ class Relation1FactorialParams(_Params):
         return isqrt(self.basis.bound)
 
 
-@lru_cache(maxsize=64)
 def _check_partition(basis: PrimeBasis, group1: tuple[int, ...], group2: tuple[int, ...]) -> None:
-    """ValidationError unless the two groups split the basis primes.
-
-    Cached, since every hit of a relation2 walk builds params with the same
-    split; lru_cache keeps no raise, so a bad split is refused every time."""
+    """ValidationError unless the two groups split the basis primes."""
     if not group1 or not group2:
         raise ValidationError("both groups must be nonempty")
     if set(group1) & set(group2):
@@ -401,21 +396,14 @@ def _extended_window(basis: PrimeBasis, exponents: tuple[tuple[int, int], ...], 
     return basis.largest, larges[stop] ** 2 - 1
 
 
-@lru_cache(maxsize=1024)
 def _products(primes: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The product P of `primes` and its cofactors P/p in the same order.
-
-    Cached: every evaluation of a grid walk's hits asks again for the
-    same basis or group."""
+    """The product P of `primes` and its cofactors P/p in the same order."""
     full = prod(primes)
     return full, tuple(full // p for p in primes)
 
 
 def _power_product(basis: PrimeBasis, exponents: tuple[tuple[int, int], ...]) -> int:
-    if not exponents:
-        return 1
-    top = max(i for i, _ in exponents)
-    larges = large_primes(basis, top)
+    larges = large_primes(basis, max((i for i, _ in exponents), default=0))
     return prod(larges[i - 1] ** e for i, e in exponents)
 
 
@@ -593,8 +581,7 @@ def _sums(terms) -> list[int]:
     itertools.product over the terms, last term fastest."""
     sums = [0]
     for term in terms:
-        # the sums of [0] and a term are the term's values, uncopied
-        sums = term if sums == [0] else [total + value for total in sums for value in term]
+        sums = [total + value for total in sums for value in term]
     return sums
 
 

@@ -537,6 +537,48 @@ class TestRefusedArguments:
         assert run_cli(capsys, *argv, flag, value) == want
         assert run_cli(capsys, *argv, f"{flag}={value}") == want
 
+    # every integer argument, flag, comma list, range, sign or environment
+    # variable, is read by one reader; "{}" is a token of one digit more
+    # than Python reads from a str
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+        reason="no limit on str-to-int conversion",
+    )
+    @pytest.mark.parametrize("env, argv", [
+        ({}, ["rel2", "--bound", "119", "--s1", "2,7", "--s2", "3,5", "--b1", "2", "--b2", "2",
+              "--k1", "{}", "--k2", "1"]),
+        ({}, ["sieve", "--bound", "{}"]),
+        ({}, ["rel3", "--bound", "119", "--b", "2,1,1,1", "--k", "{},1,1,1"]),
+        ({}, ["zscan", "--a", "1..{}", "--c", "1", "--n", "2..3"]),
+        ({}, ["rel1", "--bound", "119", "--b1", "{}", "--b2", "1", "--k", "1"]),
+        ({"PRIMEKIT_CANDIDATE_CAP": "{}"}, ["sieve", "--bound", "100"]),
+    ])
+    def test_an_integer_past_the_str_to_int_limit_exits_2(self, capsys, monkeypatch, env, argv):
+        # refused as a resource error that gives the digit count, not the digits
+        sevens = "7" * (sys.get_int_max_str_digits() + 1)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value.format(sevens))
+        code, out, err = run_cli(capsys, *(arg.format(sevens) for arg in argv))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 300
+        assert err.startswith(f"resource error: integer argument of {len(sevens)} digits ")
+        assert "7" * 100 not in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+        reason="no limit on str-to-int conversion",
+    )
+    def test_an_integer_at_the_str_to_int_limit_reads(self, capsys):
+        # a token of exactly the limit's digits reads and reaches the sieve's
+        # cap; one that is no integer fails as int() fails, however long
+        bound = "7" * sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "sieve", "--bound", bound)
+        assert (code, out) == (2, "")
+        assert err == f"resource error: bound {bound} exceeds the dense-sieve cap {exclusion.DENSE_BOUND_MAX}\n"
+        code, out, err = run_cli(capsys, "sieve", "--bound", "x" + bound)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --bound: invalid int value: 'x{bound}'\n"
+
 
 class TestZscan:
     def test_mersenne_exponents(self, capsys):
