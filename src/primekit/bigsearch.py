@@ -28,14 +28,13 @@ seeds fail loudly instead of hanging.
 from __future__ import annotations
 
 import decimal
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import InvariantViolation, ResourceLimitError, ValidationError
+from .errors import InvariantViolation, ValidationError, check_digits, digit_limit
 from .oracle import OracleVerdict, is_prime, odd_prime_product, sieve_primes_below
 
 DEFAULT_C_DIGIT_CAP = 1_000_000
@@ -180,18 +179,11 @@ def proven_hits(
         raise ValidationError(
             f"max exponent {max_exponent} is below the starting exponent {start}"
         )
-    # 0 means no limit, as before Python 3.10.7, which lacks the call too
-    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    # with N = max_exponent, k <= high + 2^N < 2^(m + 1) <= 8^digit_limit while
-    # m = max(N, bits(high)) < 3 * digit_limit; past that, exactly: k has more than
-    # digit_limit digits iff high + 2^N >= c * 10^digit_limit (true once N >= bits(bound))
-    if digit_limit and max(max_exponent, state.high.bit_length()) >= 3 * digit_limit:
-        bound = state.product * 10 ** digit_limit
-        if max_exponent >= bound.bit_length() or state.high + 2 ** max_exponent >= bound:
-            raise ResourceLimitError(
-                f"k at exponent {max_exponent} for seed {state.seed} would pass Python's "
-                f"{digit_limit}-digit limit on int-to-str conversion (sys.get_int_max_str_digits())"
-            )
+    # the largest k is (high + 2^N) // c; an N past bits(c) + 4 * limit puts it
+    # past the limit whatever c is (2^N > c * 16^limit), so 2^N is not built
+    # (an N below 1 is refused just below)
+    shift = max(0, min(max_exponent, state.product.bit_length() + 4 * digit_limit()))
+    check_digits(f"k at exponent {max_exponent} for seed {state.seed}", state.high + (1 << shift), state.product)
     if start < 1:
         raise ValidationError(f"exponent must be >= 1, got {start}")
     if max_hits == 0:

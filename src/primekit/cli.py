@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation error, 2 resource-cap error, 3 an
 invariant the constructions guarantee was refuted (which falsifies the
-implementation, so it is never swallowed). The console script also exits
+implementation, so it is never swallowed or shortened; exits 1 and 2 give
+a run of over 40 digits as its count). The console script also exits
 141 (128 + SIGPIPE), quietly, when the reader closes stdout early, as in
 `primekit sieve --bound 2000000 | head -1`.
 
@@ -30,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .bigsearch import DEFAULT_C_DIGIT_CAP, build_state, in_decimal, proven_hits
-from .errors import InvariantViolation, ResourceLimitError, ValidationError, read_int
+from .errors import InvariantViolation, ResourceLimitError, ValidationError, digit_limit, read_int
 from .exclusion import ExclusionSpec, excluded_k, prime_blocks
 from .mersenne import scan_prime_zn
 from .oracle import PROBABLE_PRIME, PROVEN_PRIME, OracleVerdict, is_prime, primes_leq_sqrt
@@ -75,6 +76,7 @@ class RunConfig:
 
 
 _NEGATIVE_INT_LIST = re.compile(r"-\d+(,-?\d+)+")
+_LONG_DIGITS = re.compile(r"\d{41,}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -449,8 +451,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     path = Path(args.log)
     checked = 0
     mismatches: list[tuple] = []
-    # 0 means no limit, as before Python 3.10.7, which lacks the call too
-    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = digit_limit()
     with _open_log(path, append=False) as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -473,9 +474,9 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                 raise ValidationError(f"log line {lineno}: value is not a decimal string")
             if type(digits) is not int or digits != len(text):
                 raise ValidationError(f"log line {lineno}: digits is {digits!r}, but value has {len(text)}")
-            if digit_limit and len(text) > digit_limit:
+            if limit and len(text) > limit:
                 raise ResourceLimitError(
-                    f"log line {lineno}: value has {len(text)} digits, past Python's {digit_limit}-digit "
+                    f"log line {lineno}: value has {len(text)} digits, past Python's {limit}-digit "
                     "limit on int-to-str conversion (sys.get_int_max_str_digits())"
                 )
             claimed = record["verdict"].get("status") if isinstance(record["verdict"], dict) else None
@@ -534,12 +535,12 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
         return args.handler(args, cfg)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ResourceLimitError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return 2
+    except (ValidationError, ResourceLimitError) as exc:
+        # a run of more than 40 digits, such as an echoed argument, is named by its count
+        message = _LONG_DIGITS.sub(lambda digits: f"<{len(digits[0])} digits>", str(exc))
+        prefix, code = ("error", 1) if isinstance(exc, ValidationError) else ("resource error", 2)
+        print(f"{prefix}: {message}", file=sys.stderr)
+        return code
     except InvariantViolation as exc:
         print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
         return 3

@@ -9,11 +9,10 @@ base and beats 2^n - 1 as soon as base > 1.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InvariantViolation, ResourceLimitError, ValidationError
+from .errors import InvariantViolation, ValidationError, check_digits, digit_limit
 from .oracle import OracleVerdict, is_prime
 
 
@@ -136,20 +135,11 @@ def scan_prime_zn(
         raise ValidationError("exponents below 2 are not defined")
     # every hit is printed in decimal: refuse before computing any Z when the
     # grid's largest, at its last point (Z grows in base, step and exponent),
-    # would pass Python's int-to-str limit (0 for no limit, as before Python
-    # 3.10.7, which lacks the call too)
-    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # could not be written. Z >= (a + c)^(n - 1) >= 2^((n - 1) * (bits(a + c) - 1)),
+    # which passes 16^limit at the clamped exponent, so no larger power is built
     a, c, n = base_range[1], step_range[1], exponent_range[1]
-    # below the first test, Z < (a + c)^n <= 8^digit_limit; past it, exactly: Z has
-    # more than digit_limit digits iff (a + c)^n - a^n >= c * 10^digit_limit, which
-    # holds at once when Z >= (a + c)^(n - 1) >= 2^bits(10^digit_limit)
-    if digit_limit and n * (a + c).bit_length() > 3 * digit_limit:
-        ten = 10 ** digit_limit
-        if (n - 1) * ((a + c).bit_length() - 1) >= ten.bit_length() or (a + c) ** n - a ** n >= c * ten:
-            raise ResourceLimitError(
-                f"Z at base {a}, step {c}, exponent {n} would pass Python's {digit_limit}-digit "
-                f"limit on int-to-str conversion (sys.get_int_max_str_digits())"
-            )
+    clamped = min(n, 1 + -(-4 * digit_limit() // ((a + c).bit_length() - 1)))
+    check_digits(f"Z at base {a}, step {c}, exponent {n}", (a + c) ** clamped - a ** clamped, c)
 
     hits = []
     for a, c, n in product(

@@ -51,14 +51,13 @@ window through a table of window tops (_window_tops).
 from __future__ import annotations
 
 import enum
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, product
 from math import factorial, isqrt, prod
 from operator import attrgetter, ge
 
-from .errors import InvariantViolation, ResourceLimitError, ValidationError, read_int
+from .errors import InvariantViolation, ResourceLimitError, ValidationError, check_digits, read_int
 from .oracle import PROVEN_COMPOSITE, OracleVerdict, PrimeBasis, is_prime, large_primes
 
 RELATION1 = "relation1"
@@ -336,15 +335,8 @@ def certificate_window(basis: PrimeBasis) -> tuple[int, int]:
 
 
 def _judge(value: int, construction: str, params, window, reason=None) -> CandidateCertificate:
-    # refuse, before the oracle runs, a value past Python's limit on int-to-str
-    # conversion (0 for none, as before Python 3.10.7, which lacks the call
-    # too), which could not be written; below 2^(3 * limit) none is past it
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit and abs(value).bit_length() > 3 * limit and abs(value) >= 10 ** limit:
-        raise ResourceLimitError(
-            f"{construction} value of {abs(value).bit_length()} bits would pass Python's "
-            f"{limit}-digit limit on int-to-str conversion (sys.get_int_max_str_digits())"
-        )
+    # refuse, before the oracle runs, a value that could not be written
+    check_digits(f"{construction} value of {abs(value).bit_length()} bits", abs(value))
     low, high = window
     if reason is None:
         if value <= 0:
@@ -396,19 +388,13 @@ def _extended_window(basis: PrimeBasis, exponents: tuple[tuple[int, int], ...], 
     return basis.largest, larges[stop] ** 2 - 1
 
 
-def _products(primes: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The product P of `primes` and its cofactors P/p in the same order."""
-    full = prod(primes)
-    return full, tuple(full // p for p in primes)
-
-
 def _power_product(basis: PrimeBasis, exponents: tuple[tuple[int, int], ...]) -> int:
     larges = large_primes(basis, max((i for i, _ in exponents), default=0))
     return prod(larges[i - 1] ** e for i, e in exponents)
 
 
 def eval_relation1(params: Relation1Params) -> CandidateCertificate:
-    small = _products(params.basis.small_primes)[0]
+    small = prod(params.basis.small_primes)
     power = _power_product(params.basis, params.large_exponents)
     value = params.sign_small.sign * params.multiplier * small + params.sign_large.sign * power
     window = _extended_window(params.basis, params.large_exponents, params.multiplier)
@@ -477,8 +463,8 @@ def _split(construction: str, basis: PrimeBasis, partition=None) -> tuple[tuple[
 
 def _split_coefficients(groups) -> tuple[int, ...]:
     """P/P_g for each group g of a split, then P: its terms' coefficients."""
-    full, cofactors = _products(tuple(map(prod, groups)))
-    return cofactors + (full,)
+    full = prod(map(prod, groups))
+    return tuple(full // prod(group) for group in groups) + (full,)
 
 
 def _coprime_multipliers(budget: int, primes: tuple[int, ...]) -> list[int]:
@@ -764,7 +750,7 @@ def _points(
         if construction == RELATION1_FACTORIAL:
             lead, make = factorial(isqrt(basis.bound)), Relation1FactorialParams
         else:
-            lead, make = _products(basis.small_primes)[0], Relation1Params
+            lead, make = prod(basis.small_primes), Relation1Params
         larges = large_primes(basis, exponent_slots + 1)
         low, high = basis.largest, larges[-1] ** 2 - 1
         exponents, powers = _reachable_powers(

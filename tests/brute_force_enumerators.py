@@ -22,7 +22,6 @@ from primekit.relations import (
     Relation3Params,
     _coprime_multipliers,
     _extended_window,
-    _products,
     _signed,
     _walk,
     certificate_window,
@@ -160,7 +159,7 @@ def _relation1_points_full_grid(construction: str, basis: PrimeBasis, budget: in
     if construction == RELATION1_FACTORIAL:
         lead, make = factorial(isqrt(basis.bound)), Relation1FactorialParams
     else:
-        lead, make = _products(basis.small_primes)[0], Relation1Params
+        lead, make = prod(basis.small_primes), Relation1Params
     larges = large_primes(basis, exponent_slots + 1)
     grid = _full_power_grid(larges[:exponent_slots], budget)
     multiples = [k * lead for k in range(1, budget + 1)]

@@ -1,6 +1,5 @@
 import json
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, log2
@@ -13,7 +12,7 @@ from helpers import slow_is_prime
 from primekit import bigsearch
 from primekit.bigsearch import SearchHit, build_state, every_hit, proven_hits, search
 from primekit.cli import run
-from primekit.errors import InvariantViolation, ResourceLimitError, ValidationError
+from primekit.errors import InvariantViolation, ResourceLimitError, ValidationError, digit_limit
 from primekit.oracle import OracleVerdict
 
 
@@ -132,14 +131,11 @@ class TestSearch:
         keys = [(h.n, h.k) for h in hits]
         assert keys == sorted(keys)
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
-        reason="no limit on int-to-str conversion",
-    )
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
     def test_k_up_to_the_int_to_str_limit(self):
         # seed 7: c = 15 and every exponent has hits; the last exponent whose
         # largest k still fits the digit limit keeps them, the next one refuses
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         state = build_state(7)
         last = (state.product * 10 ** limit - state.high - 1).bit_length() - 1
         hits = search(state, last, min_n=last - 2)

@@ -17,6 +17,7 @@ import pytest
 from helpers import slow_primes_below
 from primekit import bigsearch, cli, exclusion, relations
 from primekit.cli import run
+from primekit.errors import InvariantViolation, digit_limit
 from primekit.mersenne import scan_prime_zn
 from primekit.oracle import OracleVerdict, is_prime, primes_leq_sqrt, sieve_primes_below
 from primekit.reference import relation1_report, relation2_report, relation3_report
@@ -483,15 +484,12 @@ class TestRelationCommands:
         assert "245760 candidates" in err
         assert run_cli(capsys, *argv, "--candidate-cap", "245760") == (0, "", "")
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
-        reason="no limit on int-to-str conversion",
-    )
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
     @pytest.mark.parametrize("command", ["rel1", "rel2"])
     def test_value_past_the_int_to_str_limit_exit_two(self, capsys, monkeypatch, command):
         # 11^limit, and 14 times a k of limit sevens, have more digits than
         # Python converts to str: refused before the oracle runs
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         argv = {
             "rel1": ["rel1", "--bound", "119", "--b1", "2", "--b2", "2", "--k", "1", "--m", str(limit)],
             "rel2": ["rel2", "--bound", "119", "--s1", "2,7", "--s2", "3,5", "--b1", "2", "--b2", "2",
@@ -503,6 +501,31 @@ class TestRelationCommands:
         assert (code, out, calls) == (2, "", [])
         assert len(err.splitlines()) == 1
         assert err.startswith("resource error: ") and f"Python's {limit}-digit limit" in err
+
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
+    @pytest.mark.parametrize("parity", ["2", "1"])
+    def test_a_value_of_the_limit_s_digits_is_judged_and_one_more_is_refused(self, capsys, parity):
+        # with s1 = {2, 7} and s2 = {3, 5}, R = +-(14 * k1 + 15 * k2): 10^L - 1
+        # has L digits and is judged (composite, as 3 divides it), 10^L is refused
+        limit = digit_limit()
+        for value in (10 ** limit - 1, 10 ** limit):
+            k2 = value % 14 or 14
+            k1 = (value - 15 * k2) // 14
+            code, out, err = run_cli(
+                capsys, "rel2", "--bound", "119", "--s1", "2,7", "--s2", "3,5", "--b1", parity, "--b2", parity,
+                "--k1", str(k1), "--k2", str(k2), "--format", "jsonl",
+            )
+            if value < 10 ** limit:
+                assert (code, err) == (0, "")
+                record = json.loads(out)
+                assert record["value"] == "9" * limit and record["verdict"]["status"] == "proven-composite"
+            else:
+                bits = value.bit_length()
+                assert (code, out) == (2, "")
+                assert err == (
+                    f"resource error: relation2 value of {bits} bits would pass Python's {limit}-digit limit "
+                    "on int-to-str conversion (sys.get_int_max_str_digits())\n"
+                )
 
 
 class TestRefusedArguments:
@@ -540,10 +563,7 @@ class TestRefusedArguments:
     # every integer argument, flag, comma list, range, sign or environment
     # variable, is read by one reader; "{}" is a token of one digit more
     # than Python reads from a str
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
-        reason="no limit on str-to-int conversion",
-    )
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on str-to-int conversion")
     @pytest.mark.parametrize("env, argv", [
         ({}, ["rel2", "--bound", "119", "--s1", "2,7", "--s2", "3,5", "--b1", "2", "--b2", "2",
               "--k1", "{}", "--k2", "1"]),
@@ -555,7 +575,7 @@ class TestRefusedArguments:
     ])
     def test_an_integer_past_the_str_to_int_limit_exits_2(self, capsys, monkeypatch, env, argv):
         # refused as a resource error that gives the digit count, not the digits
-        sevens = "7" * (sys.get_int_max_str_digits() + 1)
+        sevens = "7" * (digit_limit() + 1)
         for name, value in env.items():
             monkeypatch.setenv(name, value.format(sevens))
         code, out, err = run_cli(capsys, *(arg.format(sevens) for arg in argv))
@@ -564,20 +584,53 @@ class TestRefusedArguments:
         assert err.startswith(f"resource error: integer argument of {len(sevens)} digits ")
         assert "7" * 100 not in err
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
-        reason="no limit on str-to-int conversion",
-    )
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on str-to-int conversion")
     def test_an_integer_at_the_str_to_int_limit_reads(self, capsys):
         # a token of exactly the limit's digits reads and reaches the sieve's
         # cap; one that is no integer fails as int() fails, however long
-        bound = "7" * sys.get_int_max_str_digits()
+        # (each message gives the echoed token's digits as their count)
+        bound = "7" * digit_limit()
         code, out, err = run_cli(capsys, "sieve", "--bound", bound)
         assert (code, out) == (2, "")
-        assert err == f"resource error: bound {bound} exceeds the dense-sieve cap {exclusion.DENSE_BOUND_MAX}\n"
+        assert err == (
+            f"resource error: bound <{len(bound)} digits> exceeds the dense-sieve cap {exclusion.DENSE_BOUND_MAX}\n"
+        )
         code, out, err = run_cli(capsys, "sieve", "--bound", "x" + bound)
         assert (code, out) == (1, "")
-        assert err == f"error: argument --bound: invalid int value: 'x{bound}'\n"
+        assert err == f"error: argument --bound: invalid int value: 'x<{len(bound)} digits>'\n"
+
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
+    @pytest.mark.parametrize("code, argv", [
+        (2, ["sieve", "--bound", "{}"]),
+        (1, ["sieve", "--bound", "-{}"]),
+        (2, ["zscan", "--a", "1", "--c", "1", "--n", "{}"]),
+        (1, ["rel1", "--bound", "{}", "--b1", "2", "--b2", "1", "--k", "1"]),
+    ])
+    def test_a_refusal_names_a_long_integer_by_its_digit_count(self, capsys, code, argv):
+        # these refusals check a value of exactly the limit's digits (rel1's
+        # sieve echoes its root) and give it as "<N digits>", in one short line
+        sevens = "7" * digit_limit()
+        got, out, err = run_cli(capsys, *(arg.format(sevens) for arg in argv))
+        assert (got, out) == (code, "")
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+        assert " digits>" in err and "7" * 41 not in err
+
+    @pytest.mark.parametrize("digits, shown", [(40, "7" * 40), (41, "<41 digits>")])
+    def test_a_refusal_keeps_an_integer_of_40_digits(self, capsys, digits, shown):
+        cap = exclusion.DENSE_BOUND_MAX
+        assert run_cli(capsys, "sieve", "--bound", "7" * digits) == (
+            2, "", f"resource error: bound {shown} exceeds the dense-sieve cap {cap}\n",
+        )
+        assert run_cli(capsys, "sieve", "--bound", "xx" + "7" * digits) == (
+            1, "", f"error: argument --bound: invalid int value: 'xx{shown}'\n",
+        )
+
+    def test_an_invariant_violation_is_written_in_full(self, capsys, monkeypatch):
+        def refuted(*args, **kwargs):
+            raise InvariantViolation(f"value {'7' * 50} refuted")
+
+        monkeypatch.setattr(cli, "prime_blocks", refuted)
+        assert run_cli(capsys, "sieve", "--bound", "100") == (3, "", f"INVARIANT VIOLATION: value {'7' * 50} refuted\n")
 
 
 class TestZscan:
@@ -598,20 +651,31 @@ class TestZscan:
         code, _, err = run_cli(capsys, "zscan", "--a", "x..y", "--c", "1", "--n", "2")
         assert code == 1
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
-        reason="no limit on int-to-str conversion",
-    )
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
     def test_z_past_the_int_to_str_limit_exit_two(self, capsys):
         # at a = c = 1, Z = 2^n - 1: the last exponent whose Z Python still
         # converts to str is evaluated (composite, so no output); past it,
         # zscan refuses before computing any Z
-        last = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+        last = (10 ** digit_limit()).bit_length() - 1
         assert run_cli(capsys, "zscan", "--a", "1", "--c", "1", "--n", str(last), "--no-skip") == (0, "", "")
         for n in (last + 1, 21701):
             code, out, err = run_cli(capsys, "zscan", "--a", "1", "--c", "1", "--n", f"2..{n}")
             assert code == 2 and out == "", n
             assert "resource error" in err and "get_int_max_str_digits" in err
+
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
+    def test_a_base_at_the_digit_limit_is_refused_at_once(self, capsys):
+        # the refusal builds Z only at the few exponents its base's size needs,
+        # never at the range's end
+        base = "7" * digit_limit()
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "zscan", "--a", base, "--c", "1", "--n", f"2..{10 ** 12}")
+        assert time.perf_counter() - began < 10
+        assert (code, out) == (2, "")
+        assert err == (
+            f"resource error: Z at base <{len(base)} digits>, step 1, exponent {10 ** 12} would pass "
+            f"Python's {digit_limit()}-digit limit on int-to-str conversion (sys.get_int_max_str_digits())\n"
+        )
 
 
 class TestBigsearch:
@@ -1062,13 +1126,10 @@ class TestLogAndVerify:
             assert code == 1 and out == "", bad
             assert err.startswith("error: log line 2: ") and message in err, bad
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
-        reason="no limit on int-to-str conversion",
-    )
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
     def test_value_past_the_int_str_limit_exits_2(self, capsys, tmp_path):
         # 10^(d-1) has d digits and is even, so the oracle refutes it at once
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         log = tmp_path / "big.jsonl"
         for digits, want in ((limit, 0), (limit + 1, 2), (limit + 2, 2)):
             text = "1" + "0" * (digits - 1)
