@@ -34,10 +34,11 @@ from itertools import islice
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import InvariantViolation, ValidationError, check_digits, digit_limit
+from .errors import DEFAULT_C_DIGIT_CAP, InvariantViolation, ValidationError, check_digits, digit_limit
 from .oracle import OracleVerdict, is_prime, odd_prime_product, sieve_primes_below
 
-DEFAULT_C_DIGIT_CAP = 1_000_000
+# the construction a hit's --log entry names
+BIG_SEARCH = "big-search"
 # k's bit length from which in_decimal writes k by decimal arithmetic, not
 # str(k): the crossover measured per hit was 1,050 to 1,500 bits on seeds 5-13
 DECIMAL_K_BITS = 1200

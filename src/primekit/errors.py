@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all primekit modules, and the one owner of
 Python's limit on int<->str conversion: the reader of integer arguments
-(read_int, str to int) and the refusal of a value too long to write
-(check_digits, int to str).
+(read_int, str to int), the refusal of a value too long to write
+(check_digits, int to str) and the naming of one in a message (decimal).
+The resource caps' defaults live here too.
 
 The CLI maps these onto exit codes: ValidationError -> 1,
 ResourceLimitError -> 2, InvariantViolation -> 3.
@@ -13,6 +14,12 @@ import sys
 # what int() reads in base 10: a sign, digits with single underscores
 # between them, and surrounding whitespace
 _INT_TOKEN = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+# the resource caps' defaults, which the CLI reads on every command: the
+# candidates a relation grid may hold, and the digits of the big search's
+# odd-prime product
+DEFAULT_CANDIDATE_CAP = 2_000_000
+DEFAULT_C_DIGIT_CAP = 1_000_000
 
 
 class PrimekitError(Exception):
@@ -51,6 +58,21 @@ def check_digits(what: str, top: int, divisor: int = 1) -> None:
             f"{what} would pass Python's {limit}-digit limit on int-to-str conversion "
             "(sys.get_int_max_str_digits())"
         )
+
+
+def decimal(value: int) -> str:
+    """str(value) for value >= 0, or "<N digits>" when it has more digits
+    than Python converts to str, as the CLI names a long integer in a
+    refusal."""
+    limit = digit_limit()
+    if not limit or value.bit_length() < 3 * limit or value < 10 ** limit:
+        return str(value)
+    digits = (value.bit_length() - 1) * 30103 // 100000 + 1  # log10(2) ~ 0.30103
+    while value >= 10 ** digits:
+        digits += 1
+    while value < 10 ** (digits - 1):
+        digits -= 1
+    return f"<{digits} digits>"
 
 
 def read_int(text: str) -> int:

@@ -115,16 +115,22 @@ class PrimeBasis:
         return self.small_primes[-1]
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    # primes strictly below limit; dense bytearray, fine for limit <~ 10^8
-    if limit <= 2:
-        return []
+def _prime_mask(limit: int) -> bytearray:
+    # flags[x] is 1 exactly when x is prime, for x < limit (limit > 2);
+    # dense bytearray, fine for limit <~ 10^8
     flags = bytearray([1]) * limit
     flags[0] = flags[1] = 0
     for p in range(2, isqrt(limit - 1) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit, p)))
-    return list(compress(range(limit), flags))
+    return flags
+
+
+def _simple_sieve(limit: int) -> list[int]:
+    # primes strictly below limit
+    if limit <= 2:
+        return []
+    return list(compress(range(limit), _prime_mask(limit)))
 
 
 def sieve_primes_below(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
@@ -156,8 +162,8 @@ def sieve_primes_below(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> 
 
 
 @lru_cache(maxsize=1)
-def _lookup_primes() -> frozenset[int]:
-    return frozenset(_simple_sieve(_LOOKUP_LIMIT))
+def _lookup_mask() -> bytearray:
+    return _prime_mask(_LOOKUP_LIMIT)
 
 
 @lru_cache(maxsize=1)
@@ -207,7 +213,7 @@ def is_prime(x: int) -> OracleVerdict:
         # units and zero are not prime; no nontrivial factor exists
         return OracleVerdict(x, PROVEN_COMPOSITE, TRIAL_DIVISION, None)
     if x < _LOOKUP_LIMIT:
-        if x in _lookup_primes():
+        if _lookup_mask()[x]:
             return OracleVerdict(x, PROVEN_PRIME, SIEVE_LOOKUP, None)
         return OracleVerdict(x, PROVEN_COMPOSITE, SIEVE_LOOKUP, _smallest_factor(x))
 

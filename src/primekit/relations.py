@@ -57,16 +57,21 @@ from itertools import chain, compress, product
 from math import factorial, isqrt, prod
 from operator import attrgetter, ge
 
-from .errors import InvariantViolation, ResourceLimitError, ValidationError, check_digits, read_int
+from .errors import (
+    DEFAULT_CANDIDATE_CAP,
+    InvariantViolation,
+    ResourceLimitError,
+    ValidationError,
+    check_digits,
+    decimal,
+    read_int,
+)
 from .oracle import PROVEN_COMPOSITE, OracleVerdict, PrimeBasis, is_prime, large_primes
 
 RELATION1 = "relation1"
 RELATION1_FACTORIAL = "relation1-factorial"
 RELATION2 = "relation2"
 RELATION3 = "relation3"
-BIG_SEARCH = "big-search"
-
-DEFAULT_CANDIDATE_CAP = 2_000_000
 
 
 class Parity(enum.Enum):
@@ -533,7 +538,7 @@ def enumerate_certified(
     size = enumeration_grid_size(construction, basis, budget, exponent_slots, partition)
     if size > candidate_cap:
         raise ResourceLimitError(
-            f"{construction} grid has {size} candidates, over the cap of {candidate_cap}"
+            f"{construction} grid has {decimal(size)} candidates, over the cap of {candidate_cap}"
         )
     if size == 0:
         return []

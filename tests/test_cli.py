@@ -24,6 +24,7 @@ from primekit.reference import relation1_report, relation2_report, relation3_rep
 from primekit.relations import (
     RELATION1,
     RELATION2,
+    RELATION3,
     Parity,
     Relation1Params,
     enumerate_certified,
@@ -74,7 +75,7 @@ class TestSieve:
             raise AssertionError("built past the dense-sieve cap")
 
         monkeypatch.setattr(exclusion, "primes_leq_sqrt", never)
-        monkeypatch.setattr(cli, "excluded_k", never)
+        monkeypatch.setattr(exclusion, "excluded_k", never)
         code, out, err = run_cli(
             capsys, "sieve", "--bound", str(exclusion.DENSE_BOUND_MAX + 1), "--show-exclusions",
         )
@@ -84,7 +85,7 @@ class TestSieve:
         def never(*args):
             raise AssertionError("built past the candidate cap")
 
-        monkeypatch.setattr(cli, "excluded_k", never)
+        monkeypatch.setattr(exclusion, "excluded_k", never)
         # bound 3e6 strikes 2,554,683 K values, past the default cap of 2e6
         for argv in (["--bound", "3000000"], ["--bound", "120", "--candidate-cap", "34"]):
             for fmt in cli.FORMATS:
@@ -239,7 +240,7 @@ class TestSieveWriter:
                     return
                 yield block
 
-        monkeypatch.setattr(cli, "prime_blocks", watched)
+        monkeypatch.setattr(exclusion, "prime_blocks", watched)
         with contextlib.redirect_stdout(out):
             assert run(["sieve", "--bound", "100000", "--format", fmt]) == 0
         assert len(seen) == 100_000 // exclusion.BLOCK + 1
@@ -260,15 +261,15 @@ class TestSieveWriter:
         out = io.StringIO()
         seen = []
         real = exclusion.excluded_k
+        items = _exclusion_items(20_000)  # before the watch, which counts every call
 
         def watched(spec, i):
             seen.append(out.getvalue())
             return real(spec, i)
 
-        monkeypatch.setattr(cli, "excluded_k", watched)
+        monkeypatch.setattr(exclusion, "excluded_k", watched)
         with contextlib.redirect_stdout(out):
             assert run(["sieve", "--bound", "20000", "--show-exclusions", "--format", fmt]) == 0
-        items = _exclusion_items(20_000)
         assert len(seen) == len(items) == 33 and seen[0] == ""  # the odd primes to 139
         assert out.getvalue() == emitted(items, fmt) and out.getvalue().startswith(seen[-1])
         if fmt == "json":
@@ -485,6 +486,29 @@ class TestRelationCommands:
         assert run_cli(capsys, *argv, "--candidate-cap", "245760") == (0, "", "")
 
     @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
+    @pytest.mark.parametrize("argv", [
+        ["rel1", "--bound", "119", "--enumerate", "--budget", "2", "--slots", "10000"],
+        ["rel3", "--bound", "1000000000000", "--enumerate", "--budget", "1"],
+    ])
+    def test_grid_size_past_the_int_to_str_limit_is_named_by_its_digit_count(self, capsys, argv):
+        # 8 * 3^10000 and a product over the 78,498 primes to 10^6: each grid
+        # holds a count of more digits than Python converts to str
+        construction = {"rel1": RELATION1, "rel3": RELATION3}[argv[0]]
+        size = relations.enumeration_grid_size(
+            construction, primes_leq_sqrt(int(argv[2])), int(argv[5]), int(argv[7]) if argv[6:] else 2,
+        )
+        limit = digit_limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = len(str(size))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert digits > limit
+        assert run_cli(capsys, *argv) == (
+            2, "", f"resource error: {construction} grid has <{digits} digits> candidates, over the cap of 2000000\n",
+        )
+
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
     @pytest.mark.parametrize("command", ["rel1", "rel2"])
     def test_value_past_the_int_to_str_limit_exit_two(self, capsys, monkeypatch, command):
         # 11^limit, and 14 times a k of limit sevens, have more digits than
@@ -629,7 +653,7 @@ class TestRefusedArguments:
         def refuted(*args, **kwargs):
             raise InvariantViolation(f"value {'7' * 50} refuted")
 
-        monkeypatch.setattr(cli, "prime_blocks", refuted)
+        monkeypatch.setattr(exclusion, "prime_blocks", refuted)
         assert run_cli(capsys, "sieve", "--bound", "100") == (3, "", f"INVARIANT VIOLATION: value {'7' * 50} refuted\n")
 
 
@@ -1143,6 +1167,18 @@ class TestLogAndVerify:
             else:
                 assert out == "checked 2 record(s), 0 mismatch(es)\n" and err == ""
 
+    @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
+    def test_json_integer_past_the_int_str_limit_exits_2(self, capsys, tmp_path):
+        # json reads a number of more digits than the limit with a plain
+        # ValueError, which is refused as one line naming the log line
+        limit = digit_limit()
+        log = tmp_path / "long.jsonl"
+        log.write_text(json.dumps(self._GOOD).replace('"digits": 3', '"digits": ' + "7" * (limit + 1)) + "\n")
+        assert run_cli(capsys, "verify", "--log", str(log)) == (
+            2, "", f"resource error: log line 1: a JSON integer passes Python's {limit}-digit limit "
+                   "on str-to-int conversion (sys.get_int_max_str_digits())\n",
+        )
+
     def test_missing_log_file(self, capsys, tmp_path):
         missing = tmp_path / "nope.jsonl"
         assert run_cli(capsys, "verify", "--log", str(missing)) == (
@@ -1320,3 +1356,66 @@ class TestConfig:
         lines = out.splitlines()
         assert lines[0] == "value"
         assert lines[1:] == ["2", "3", "5", "7"]
+
+
+# runs each argv of the JSON list in argv[1] through cli.run in this fresh
+# process, then prints each one's (code, stdout, stderr) and the primekit
+# modules the process has imported
+_FRESH_PROCESS = """
+import contextlib, io, json, sys
+from primekit.cli import run
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    outputs.append([code, out.getvalue(), err.getvalue()])
+modules = sorted(name for name in sys.modules if name.startswith("primekit"))
+print(json.dumps({"outputs": outputs, "modules": modules}))
+"""
+
+_ENGINES = {"primekit." + name for name in ("bigsearch", "exclusion", "mersenne", "reference", "relations")}
+
+
+class TestStartUp:
+    """A command imports only its own engine, in a process of its own."""
+
+    @staticmethod
+    def fresh(*commands):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = {key: value for key, value in env.items() if not key.startswith("PRIMEKIT_")}
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_PROCESS, json.dumps(list(commands))],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        result = json.loads(proc.stdout)
+        return [tuple(output) for output in result["outputs"]], set(result["modules"])
+
+    @pytest.mark.parametrize("argv, engines", [
+        (["sieve", "--bound", "100"], {"exclusion"}),
+        (["sieve", "--bound", "100", "--show-exclusions"], {"exclusion"}),
+        (["bigsearch", "--seed", "13", "--max-n", "18"], {"bigsearch"}),
+        (["zscan", "--a", "1", "--c", "1", "--n", "2..13"], {"mersenne"}),
+        (["verify", "--log", "LOG"], set()),
+        (["rel2", "--bound", "48", "--enumerate", "--budget", "6"], {"relations"}),
+        (["rel1", "--bound", "119", "--worked-examples"], {"relations", "reference"}),
+    ])
+    def test_a_command_imports_only_its_own_engine(self, tmp_path, argv, engines):
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(TestLogAndVerify._GOOD) + "\n")
+        argv = [str(log) if arg == "LOG" else arg for arg in argv]
+        [(code, out, err)], modules = self.fresh(argv)
+        assert (code, err) == (0, "") and out
+        assert modules & _ENGINES == {"primekit." + name for name in engines}
+
+    def test_help_reads_the_same_first_and_after_every_other_command(self):
+        # each subcommand's flags are added at its first dispatch; the top-level
+        # help and each subcommand's read the same whenever they are asked for
+        names = ("sieve", "zscan", "rel1", "rel1f", "rel2", "rel3", "bigsearch", "verify")
+        helps = [["--help"]] + [[name, "--help"] for name in names]
+        later, _ = self.fresh(*helps[1:], *helps)  # every subcommand dispatched, then every help
+        for argv, after in zip(helps, later[len(helps) - 1 :]):
+            [first], _ = self.fresh(argv)
+            assert first == after and first[0] == 0 and first[2] == "", argv
+        assert "{" + ",".join(names) + "}" in later[len(helps) - 1][1]

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import slow_is_prime, slow_primes_below
+from helpers import slow_is_prime, slow_primes_below, slow_smallest_factor
 from primekit.errors import ResourceLimitError, ValidationError
 from primekit.oracle import (
     DETERMINISTIC_LIMIT,
     PROVEN_COMPOSITE,
     PROVEN_PRIME,
+    SIEVE_LOOKUP,
+    OracleVerdict,
     PrimeBasis,
     is_prime,
     large_primes,
@@ -88,6 +90,17 @@ class TestIsPrime:
         members = set(sieve_primes_below(10 ** 6))
         for x in range(10 ** 6):
             assert is_prime(x).is_prime == (x in members), x
+
+    def test_every_verdict_below_the_lookup_limit(self):
+        # each x in [2, 2^16) is answered by the lookup: its status, its
+        # method, and a composite's least prime factor as the witness
+        members = set(sieve_primes_below(1 << 16))
+        for x in range(2, 1 << 16):
+            if x in members:
+                expected = OracleVerdict(x, PROVEN_PRIME, SIEVE_LOOKUP, None)
+            else:
+                expected = OracleVerdict(x, PROVEN_COMPOSITE, SIEVE_LOOKUP, slow_smallest_factor(x))
+            assert is_prime(x) == expected, x
 
     def test_trial_division_band_against_slow_oracle(self):
         # exercises the path above the lookup table
