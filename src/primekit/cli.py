@@ -12,16 +12,6 @@ floats never carry values. Environment variables PRIMEKIT_* mirror the
 global flags and lose to explicit flags. --workers is accepted for
 interface compatibility: execution is sequential and output is identical
 for any worker count.
-
-Start-up: a command loads only its own engine. Each handler imports its
-engine module when it runs (reference only for --worked-examples), and a
-subcommand's flags are added when argparse first dispatches to it, while
---help still lists every subcommand. Where no .pyc is written
-(PYTHONDONTWRITEBYTECODE=1), a fresh process thus compiles one engine, not
-five: on 2 cores under Python 3.11.7 (medians of 21 interleaved runs),
-`import primekit.cli` takes 24 ms instead of 49 (-X importtime), and the
-whole of `python -m primekit.cli bigsearch --seed 13 --max-n 64` 75 ms
-instead of 100.
 """
 
 from __future__ import annotations
@@ -102,7 +92,10 @@ class _Parser(argparse.ArgumentParser):
 class _Subcommands(argparse._SubParsersAction):
     """Subcommands whose own flags, and handler, are added when argparse
     first dispatches to them: a command builds only its own flags and
-    imports only its own engine, while the top-level help lists them all."""
+    imports only its own engine, while the top-level help lists them all.
+    Each handler imports its engine module when it runs (reference only for
+    --worked-examples), so where no .pyc is written a fresh process
+    compiles one engine, not five."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         sub = self._name_parser_map.get(values[0])
@@ -139,8 +132,7 @@ def _build_parser() -> _Parser:
     logp = _Parser(add_help=False)
     logp.add_argument("--log", default=None, help="append result records to this JSONL file")
 
-    # the docstring but its notes on start-up, which are no concern of a user
-    parser = _Parser(prog="primekit", description=(__doc__ or "").partition("\n\nStart-up:")[0])
+    parser = _Parser(prog="primekit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"primekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand's handler and own flags are added by _add_flags

@@ -67,12 +67,11 @@ def decimal(value: int) -> str:
     limit = digit_limit()
     if not limit or value.bit_length() < 3 * limit or value < 10 ** limit:
         return str(value)
-    digits = (value.bit_length() - 1) * 30103 // 100000 + 1  # log10(2) ~ 0.30103
-    while value >= 10 ** digits:
-        digits += 1
-    while value < 10 ** (digits - 1):
-        digits -= 1
-    return f"<{digits} digits>"
+    # value has exactly `dropped` more digits than value // 10**dropped.
+    # 0.301029995 is just under log10(2), so that quotient is at least 1,
+    # and below 2^(10^11) it has fewer than 70 digits, which str() writes
+    dropped = (value.bit_length() - 1) * 301029995 // 10 ** 9
+    return f"<{len(str(value // 10 ** dropped)) + dropped} digits>"
 
 
 def read_int(text: str) -> int:

@@ -9,6 +9,7 @@ base and beats 2^n - 1 as soon as base > 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -114,9 +115,11 @@ def scan_prime_zn(
     step_range: tuple[int, int],
     exponent_range: tuple[int, int],
     skip: bool = True,
-) -> list[ZnResult]:
-    """Enumerate the (base, step, exponent) grid lexicographically and return
-    the points whose Z the oracle certifies prime.
+) -> Iterator[ZnResult]:
+    """Walk the (base, step, exponent) grid lexicographically and yield each
+    point whose Z the oracle certifies prime, as it is proven. The ranges
+    are checked, and a Z too long to write refused, at the call, before any
+    point is evaluated.
 
     With skip enabled, composite exponents and steps divisible by a base >= 2
     are not evaluated (both provably composite); skip=False evaluates the
@@ -141,18 +144,12 @@ def scan_prime_zn(
     clamped = min(n, 1 + -(-4 * digit_limit() // ((a + c).bit_length() - 1)))
     check_digits(f"Z at base {a}, step {c}, exponent {n}", (a + c) ** clamped - a ** clamped, c)
 
-    hits = []
-    for a, c, n in product(
+    points = product(
         range(base_range[0], base_range[1] + 1),
         range(step_range[0], step_range[1] + 1),
         range(exponent_range[0], exponent_range[1] + 1),
-    ):
-        if skip:
-            if not is_prime(n).is_prime:
-                continue
-            if a >= 2 and c % a == 0:
-                continue
-        result = compute_zn(GeneralMersenneParams(a, c, n))
-        if result.verdict.is_prime:
-            hits.append(result)
-    return hits
+    )
+    if skip:
+        points = ((a, c, n) for a, c, n in points if is_prime(n).is_prime and (a < 2 or c % a))
+    results = (compute_zn(GeneralMersenneParams(*point)) for point in points)
+    return (result for result in results if result.verdict.is_prime)

@@ -32,7 +32,8 @@ DETERMINISTIC_SPP = "deterministic-spp"
 PROBABILISTIC_SPP = "probabilistic-spp"
 
 SIEVE_LIMIT_MAX = 1 << 40
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# the integers sieve_primes_below strikes at a time
+SEGMENT_SIZE = 1 << 20
 
 # Published strong-pseudoprime base sets: testing against `bases` is a
 # primality proof for every odd number below `limit`.
@@ -133,23 +134,21 @@ def _simple_sieve(limit: int) -> list[int]:
     return list(compress(range(limit), _prime_mask(limit)))
 
 
-def sieve_primes_below(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
+def sieve_primes_below(limit: int) -> list[int]:
     """All primes p with p < limit, ascending, by segmented Eratosthenes."""
     if limit < 2 or limit > SIEVE_LIMIT_MAX:
         raise ValidationError(
             f"sieve limit must be in [2, 2^40], got {limit}"
         )
-    if segment_size < 64:
-        raise ValidationError("segment size must be at least 64")
-    if limit <= segment_size:
+    if limit <= SEGMENT_SIZE:
         return _simple_sieve(limit)
 
     base_limit = isqrt(limit - 1) + 1
     base = _simple_sieve(base_limit)
-    primes = [p for p in base if p < limit]
+    primes = list(base)
     low = base_limit
     while low < limit:
-        high = min(low + segment_size, limit)
+        high = min(low + SEGMENT_SIZE, limit)
         flags = bytearray([1]) * (high - low)
         for p in base:
             if p * p >= high:
@@ -279,8 +278,7 @@ def large_primes(basis: PrimeBasis, count: int) -> tuple[int, ...]:
 
 
 def _product_tree(values: list[int]) -> int:
-    if not values:
-        return 1
+    # values is never empty: odd_prime_product passes at least the prime 3
     layer = values
     while len(layer) > 1:
         nxt = [layer[i] * layer[i + 1] for i in range(0, len(layer) - 1, 2)]

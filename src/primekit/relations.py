@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, compress, product
 from math import factorial, isqrt, prod
@@ -398,19 +399,20 @@ def _power_product(basis: PrimeBasis, exponents: tuple[tuple[int, int], ...]) ->
     return prod(larges[i - 1] ** e for i, e in exponents)
 
 
-def eval_relation1(params: Relation1Params) -> CandidateCertificate:
-    small = prod(params.basis.small_primes)
+def _eval_relation1(construction: str, params, lead: int, k: int) -> CandidateCertificate:
+    """Judge +-k * lead +- the power product, in its own extended window."""
     power = _power_product(params.basis, params.large_exponents)
-    value = params.sign_small.sign * params.multiplier * small + params.sign_large.sign * power
-    window = _extended_window(params.basis, params.large_exponents, params.multiplier)
-    return _judge(value, RELATION1, params, window)
+    value = params.sign_small.sign * k * lead + params.sign_large.sign * power
+    window = _extended_window(params.basis, params.large_exponents, k)
+    return _judge(value, construction, params, window)
+
+
+def eval_relation1(params: Relation1Params) -> CandidateCertificate:
+    return _eval_relation1(RELATION1, params, prod(params.basis.small_primes), params.multiplier)
 
 
 def eval_relation1_factorial(params: Relation1FactorialParams) -> CandidateCertificate:
-    power = _power_product(params.basis, params.large_exponents)
-    value = params.sign_small.sign * params.k1 * factorial(params.d) + params.sign_large.sign * power
-    window = _extended_window(params.basis, params.large_exponents, params.k1)
-    return _judge(value, RELATION1_FACTORIAL, params, window)
+    return _eval_relation1(RELATION1_FACTORIAL, params, factorial(params.d), params.k1)
 
 
 def _eval_split(construction: str, params, groups, signs, ks, violation):
@@ -513,7 +515,7 @@ def enumerate_certified(
     partition: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     verbose: bool = False,
-) -> list[CandidateCertificate]:
+) -> Iterator[CandidateCertificate] | list[CandidateCertificate]:
     """Evaluate each point of the bounded parameter grid whose value lies in
     the window, as the walk finds it, and keep what is accepted.
 
@@ -521,8 +523,9 @@ def enumerate_certified(
     optional trailing multiplier over [0, budget]), exponents over
     [0, budget]; multipliers with a forbidden divisor are skipped since
     they can only reject. Returns accepted certificates deduplicated by
-    value in ascending order, or the full accepted multiset in grid order
-    when verbose is set.
+    value in ascending order, as a list, or, when verbose is set, an
+    iterator that yields the full accepted multiset in grid order, each
+    certificate as it is judged.
 
     Deduplicated, each distinct value is evaluated and checked by the
     oracle once, at its first accepted grid point: a hit whose walk sum is
@@ -530,8 +533,9 @@ def enumerate_certified(
     rejected hit does not stop a later one with the same value. Verbose
     judges every hit. Each evaluated hit's value must equal its walk sum.
 
-    A given partition is checked before anything is walked, so a bad one
-    is refused whether or not a grid point lands in the window.
+    The arguments are checked at the call, before any point is evaluated,
+    so a bad partition or a grid over the cap is refused whether or not a
+    grid point lands in the window.
     """
     if partition is not None:
         _check_partition(basis, *partition)
@@ -540,25 +544,26 @@ def enumerate_certified(
         raise ResourceLimitError(
             f"{construction} grid has {decimal(size)} candidates, over the cap of {candidate_cap}"
         )
-    if size == 0:
-        return []
+    certs = _accepted(construction, basis, budget, exponent_slots, partition, verbose) if size else iter(())
+    return certs if verbose else sorted(certs, key=attrgetter("value"))
 
+
+def _accepted(construction: str, basis: PrimeBasis, budget: int, exponent_slots: int, partition, verbose: bool):
+    """Each accepted certificate of a nonempty grid, in grid order, as it
+    is judged; deduplicated unless verbose (enumerate_certified)."""
     certified: set[int] = set()
     # the walk sums to skip: none when every hit is to be judged
     skip = () if verbose else certified
-    points = _points(construction, basis, budget, exponent_slots, partition, skip)
     evaluate = evaluator(construction)
-    certs = []
-    for value, params in points:
+    for value, params in _points(construction, basis, budget, exponent_slots, partition, skip):
         cert = evaluate(params)
         if cert.signed_value != value:
             raise InvariantViolation(
                 f"{construction} walk summed {value} but its params give {cert.signed_value}"
             )
         if cert.accepted:
-            certs.append(cert)
             certified.add(value)
-    return certs if verbose else sorted(certs, key=attrgetter("value"))
+            yield cert
 
 
 def _signed(values: list[int]) -> list[int]:

@@ -1,8 +1,8 @@
 """The big search as it stood before its hit set was solved by discrete
 logs, kept as references the search must match hit for hit
 (tests/test_bigsearch.py): the exact rational k window per exponent, its
-odd integers, and the search and min_exponent scan built on them; and the
-residue-class walk that replaced them, one exponent at a time."""
+odd integers, and the search built on them; and the residue-class walk
+that replaced them, one exponent at a time."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from primekit.bigsearch import SearchHit, SearchState
-from primekit.errors import InvariantViolation, ResourceLimitError, ValidationError
+from primekit.errors import InvariantViolation, ValidationError
 from primekit.oracle import is_prime
 
 
@@ -49,57 +49,23 @@ def odd_k_candidates(state: SearchState, n: int) -> list[int]:
     return list(range(first, last + 1, 2))
 
 
-def min_exponent(state: SearchState, unit_multiplier: bool | None = None, max_scan: int | None = None) -> int:
-    """Smallest usable exponent up to max_scan (default 4*bits(c) + 64).
-
-    unit_multiplier=True asks for the smallest n whose window contains
-    k = 1; False for the smallest n whose window contains any odd k; None
-    tries the k = 1 reading first and falls back to the general one.
-    ResourceLimitError when no exponent up to max_scan is usable.
-    """
-    c, low, high = state.product, state.low, state.high
-    cap = max_scan if max_scan is not None else 4 * c.bit_length() + 64
-    if unit_multiplier is not False:
-        # k = 1 admissible iff c - high <= 2^n <= c - low - 1
-        lo_target = max(2, c - high)
-        hi_target = c - low - 1
-        n = max(1, (lo_target - 1).bit_length())  # smallest n with 2^n >= lo_target
-        if 2 ** n <= hi_target:
-            if n > cap:
-                # no window below this n holds any k >= 1, so none is usable
-                raise ResourceLimitError(
-                    f"k=1 first fits the window for seed {state.seed} at exponent {n}, above {cap}"
-                )
-            return n
-        if unit_multiplier is True:
-            raise ValidationError(
-                f"no exponent puts k=1 in the window for seed {state.seed}"
-            )
-    for n in range(1, cap + 1):
-        if odd_k_candidates(state, n):
-            return n
-    raise ResourceLimitError(
-        f"no nonempty odd-k window for seed {state.seed} within {cap} exponents"
-    )
-
-
 def search(
     state: SearchState,
     max_exponent: int,
     max_hits: int | None = None,
-    min_n: int | None = None,
+    *,
+    min_n: int,
 ) -> list[SearchHit]:
-    """Enumerate exponents ascending, odd k ascending within each window,
-    and emit every R = c*k - 2^n, oracle-checked, up to max_hits."""
+    """Enumerate exponents ascending from min_n, odd k ascending within each
+    window, and emit every R = c*k - 2^n, oracle-checked, up to max_hits."""
     if max_hits == 0:
         return []
-    start = min_n if min_n is not None else min_exponent(state)
-    if max_exponent < start:
+    if max_exponent < min_n:
         raise ValidationError(
-            f"max exponent {max_exponent} is below the starting exponent {start}"
+            f"max exponent {max_exponent} is below the starting exponent {min_n}"
         )
     hits: list[SearchHit] = []
-    for n in range(start, max_exponent + 1):
+    for n in range(min_n, max_exponent + 1):
         shift = 2 ** n
         for k in odd_k_candidates(state, n):
             value = state.product * k - shift

@@ -226,7 +226,7 @@ def test_criterion_7d_strict_growth():
 
 def test_criterion_8_mersenne_cross_check():
     with criterion(8, "classic Mersenne exponents below 32", 60.0):
-        hits = scan_prime_zn((1, 1), (1, 1), (2, 31))
+        hits = list(scan_prime_zn((1, 1), (1, 1), (2, 31)))
         assert [r.params.exponent for r in hits] == [2, 3, 5, 7, 13, 17, 19, 31]
 
 

@@ -195,7 +195,7 @@ class TestMatchesWindowReference:
                     for max_hits in (None, 1, 3):
                         args = (state, max_exponent, max_hits)
                         # without min_n the search starts at exponent 1
-                        want = _outcome(lambda: _hit_keys(reference.search(*args, min_n or 1)))
+                        want = _outcome(lambda: _hit_keys(reference.search(*args, min_n=min_n or 1)))
                         got = _outcome(lambda: _hit_keys(search(*args, min_n)))
                         assert got == want, (seed, min_n, max_exponent, max_hits)
 

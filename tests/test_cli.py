@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from helpers import slow_primes_below
-from primekit import bigsearch, cli, exclusion, relations
+from primekit import bigsearch, cli, exclusion, mersenne, relations
 from primekit.cli import run
 from primekit.errors import InvariantViolation, digit_limit
 from primekit.mersenne import scan_prime_zn
@@ -674,6 +674,28 @@ class TestZscan:
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "zscan", "--a", "x..y", "--c", "1", "--n", "2")
         assert code == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "jsonl", "json"])
+    def test_a_refuted_point_keeps_the_hits_before_it(self, capsys, monkeypatch, tmp_path, fmt):
+        # Z = 2^n - 1 is prime at n = 2, 3, 5 and 7; a refutation at n = 11
+        # stops the scan with those four written to stdout and to the log
+        # (csv holds its rows until it has them all, so it writes none)
+        argv = ["zscan", "--a", "1", "--c", "1", "--format", fmt]
+        want_log, got_log = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        code, want, _ = run_cli(capsys, *argv, "--n", "2..10", "--log", str(want_log))
+        assert code == 0 and len(want_log.read_text().splitlines()) == 4
+        real = mersenne.compute_zn
+
+        def compute(params):
+            if params.exponent == 11:
+                raise InvariantViolation("Z refuted at exponent 11")
+            return real(params)
+
+        monkeypatch.setattr(mersenne, "compute_zn", compute)
+        code, out, err = run_cli(capsys, *argv, "--n", "2..31", "--log", str(got_log))
+        assert (code, err) == (3, "INVARIANT VIOLATION: Z refuted at exponent 11\n")
+        assert out == (want.removesuffix("\n]\n") if fmt == "json" else want)
+        assert _masked(got_log.read_text(), _TIMESTAMP) == _masked(want_log.read_text(), _TIMESTAMP)
 
     @pytest.mark.skipif(not digit_limit(), reason="no limit on int-to-str conversion")
     def test_z_past_the_int_to_str_limit_exit_two(self, capsys):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import slow_is_prime
-from primekit.errors import ValidationError
+from primekit import mersenne
+from primekit.errors import ResourceLimitError, ValidationError, digit_limit
 from primekit.mersenne import (
     GeneralMersenneParams,
     compute_zn,
@@ -134,16 +135,16 @@ class TestStrictGrowth:
 
 class TestScan:
     def test_mersenne_exponents_to_13(self):
-        hits = scan_prime_zn((1, 1), (1, 1), (2, 13))
+        hits = list(scan_prime_zn((1, 1), (1, 1), (2, 13)))
         assert [r.params.exponent for r in hits] == [2, 3, 5, 7, 13]
 
     def test_base_two_small(self):
-        hits = scan_prime_zn((2, 2), (1, 1), (2, 2))
+        hits = list(scan_prime_zn((2, 2), (1, 1), (2, 2)))
         assert len(hits) == 1 and hits[0].value == 5
 
     def test_skip_agrees_with_full_grid(self):
-        fast = scan_prime_zn((1, 3), (1, 3), (2, 8))
-        full = scan_prime_zn((1, 3), (1, 3), (2, 8), skip=False)
+        fast = list(scan_prime_zn((1, 3), (1, 3), (2, 8)))
+        full = list(scan_prime_zn((1, 3), (1, 3), (2, 8), skip=False))
         key = lambda r: (r.params.base, r.params.step, r.params.exponent)
         assert [key(r) for r in fast] == [key(r) for r in full]
 
@@ -158,9 +159,9 @@ class TestScan:
                         assert not slow_is_prime(value), (a, c, n, value)
 
     def test_grid_of_nine_with_two_skips(self):
-        evaluated = scan_prime_zn((1, 3), (1, 3), (2, 2), skip=False)
+        evaluated = list(scan_prime_zn((1, 3), (1, 3), (2, 2), skip=False))
         assert len({(r.params.base, r.params.step) for r in evaluated}) <= 9
-        fast = scan_prime_zn((1, 3), (1, 3), (2, 2))
+        fast = list(scan_prime_zn((1, 3), (1, 3), (2, 2)))
         skipped_pairs = {(2, 2), (3, 3)}
         assert all((r.params.base, r.params.step) not in skipped_pairs for r in fast)
 
@@ -169,6 +170,42 @@ class TestScan:
             scan_prime_zn((3, 1), (1, 1), (2, 4))
         with pytest.raises(ValidationError):
             scan_prime_zn((1, 1), (1, 1), (1, 4))
+
+    def test_refuses_a_bad_argument_before_evaluating_any_point(self, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(mersenne, "compute_zn", evaluated.append)
+        for ranges, message in (
+            (((3, 1), (1, 1), (2, 4)), "empty base range"),
+            (((1, 1), (2, 1), (2, 4)), "empty step range"),
+            (((0, 1), (1, 1), (2, 4)), "start at 1"),
+            (((1, 1), (1, 1), (1, 4)), "below 2"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                scan_prime_zn(*ranges)
+        if digit_limit():
+            # 2^n - 1 at this n has more digits than Python writes
+            with pytest.raises(ResourceLimitError, match="exponent 100000"):
+                scan_prime_zn((1, 1), (1, 1), (2, 100_000))
+        assert evaluated == []
+
+    def test_yields_each_hit_as_it_is_proven(self, monkeypatch):
+        # no list is built: nothing is evaluated at the call, and each hit
+        # comes out before the next point is evaluated
+        evaluated, real = [], mersenne.compute_zn
+
+        def compute(params):
+            evaluated.append(real(params))
+            return evaluated[-1]
+
+        monkeypatch.setattr(mersenne, "compute_zn", compute)
+        hits = scan_prime_zn((1, 2), (1, 3), (2, 13), skip=False)
+        assert evaluated == []
+        yielded = []
+        for hit in hits:
+            assert evaluated[-1] is hit
+            yielded.append(hit)
+        assert len(evaluated) == 2 * 3 * 12
+        assert yielded == [r for r in evaluated if r.verdict.is_prime] and len(yielded) > 1
 
     def test_oracle_confirms_hits(self):
         for result in scan_prime_zn((1, 4), (1, 4), (2, 11)):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import slow_is_prime, slow_primes_below, slow_smallest_factor
+from primekit import oracle
 from primekit.errors import ResourceLimitError, ValidationError
 from primekit.oracle import (
     DETERMINISTIC_LIMIT,
@@ -50,13 +51,11 @@ class TestSievePrimesBelow:
     def test_medium_limits(self, limit):
         assert sieve_primes_below(limit) == slow_primes_below(limit)
 
-    def test_segmented_path_agrees_with_simple(self):
+    def test_segmented_path_agrees_with_simple(self, monkeypatch):
         # small segment size forces several segments over the same range
-        assert sieve_primes_below(200_000, segment_size=1 << 10) == sieve_primes_below(200_000)
-
-    def test_segment_below_64_rejected(self):
-        with pytest.raises(ValidationError, match="segment size must be at least 64"):
-            sieve_primes_below(10 ** 5, segment_size=63)
+        simple = sieve_primes_below(200_000)
+        monkeypatch.setattr(oracle, "SEGMENT_SIZE", 1 << 10)
+        assert sieve_primes_below(200_000) == simple
 
     def test_prime_count_at_one_million(self):
         assert len(sieve_primes_below(10 ** 6)) == 78498

@@ -96,7 +96,7 @@ class TestRelation1:
     def test_printed_values_recoverable_by_search(self):
         # the first accepted grid points, in grid order, that reach the
         # errata's printed values
-        certs = enumerate_certified(RELATION1, BASIS_119, 10, 2, verbose=True)
+        certs = list(enumerate_certified(RELATION1, BASIS_119, 10, 2, verbose=True))
         p71 = next(c.params for c in certs if c.value == 71)
         cert = eval_relation1(p71)
         assert cert.accepted and cert.value == 71
@@ -356,10 +356,53 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError, match=str(size)):
             enumerate_certified("relation1", BASIS_119, 8, candidate_cap=size - 1)
 
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_refuses_a_bad_argument_before_evaluating_any_point(self, verbose, monkeypatch):
+        judged = []
+        for name in ("eval_relation1", "eval_relation2", "eval_relation3"):
+            monkeypatch.setattr(relations, name, judged.append)
+        size = enumeration_grid_size("relation1", BASIS_119, 8)
+        with pytest.raises(ResourceLimitError, match=str(size)):
+            enumerate_certified("relation1", BASIS_119, 8, candidate_cap=size - 1, verbose=verbose)
+        with pytest.raises(ValidationError, match="cover"):
+            enumerate_certified("relation2", BASIS_119, 2, partition=((2,), (3, 5)), verbose=verbose)
+        with pytest.raises(ValidationError, match="unknown construction"):
+            enumerate_certified("relation9", BASIS_119, 2, verbose=verbose)
+        with pytest.raises(ValidationError, match="budget"):
+            enumerate_certified("relation3", BASIS_119, -1, verbose=verbose)
+        assert judged == []
+
+    @pytest.mark.parametrize(
+        "construction, bound, budget, evaluate",
+        [
+            ("relation1", 119, 10, "eval_relation1"),
+            ("relation1-factorial", 24, 15, "eval_relation1_factorial"),
+            ("relation2", 48, 6, "eval_relation2"),
+            ("relation3", 48, 4, "eval_relation3"),
+        ],
+    )
+    def test_verbose_yields_each_certificate_as_it_is_judged(self, construction, bound, budget, evaluate, monkeypatch):
+        # nothing is judged at the call, and each certificate comes out
+        # before the walk evaluates the next point
+        judged, real = [], getattr(relations, evaluate)
+
+        def judge(params):
+            judged.append(real(params))
+            return judged[-1]
+
+        monkeypatch.setattr(relations, evaluate, judge)
+        certs = enumerate_certified(construction, primes_leq_sqrt(bound), budget, verbose=True)
+        assert judged == []
+        yielded = []
+        for cert in certs:
+            assert judged[-1] is cert
+            yielded.append(cert)
+        assert yielded == [c for c in judged if c.accepted] and len(yielded) > 1
+
     def test_multiset_mode_keeps_duplicates(self):
         basis = primes_leq_sqrt(24)
         dedup = enumerate_certified("relation1", basis, 4)
-        multi = enumerate_certified("relation1", basis, 4, verbose=True)
+        multi = list(enumerate_certified("relation1", basis, 4, verbose=True))
         assert len(multi) >= len(dedup)
         assert {c.value for c in multi} == {c.value for c in dedup}
 
